@@ -15,10 +15,10 @@ from .metrics import (MetricsRecord, auprc, auroc, compute_metrics, f1_macro,
 from .model import (ChiGadModel, ChiGnn, build_chignn, build_model,
                     chigad_forward, chignn_forward, forward_pass,
                     load_checkpoint, save_checkpoint)
-from .spectral import (DivisionPlan, FilterAssignment, FusedFilter,
-                       SpectralProfile, assign_filter, fuse_filters,
-                       graph_s_high, s_high, select_representatives,
-                       spectral_profile, theorem1_search)
+from .spectral import (DivisionPlan, FusedFilter, SpectralProfile,
+                       assign_filter, fuse_filters, graph_s_high, s_high,
+                       select_representatives, spectral_profile,
+                       theorem1_search)
 from .synthetic import generate_synthetic_hin
 from .training import (Adam, CcLossConfig, ContributionVector, TrainRecord,
                        cc_weights, evaluate, node_contributions, train)

@@ -4,8 +4,10 @@ Just enough machinery to train the model: a Tape records Nodes in creation
 order (which is automatically a topological order), and backward() walks the
 list in exact reverse, accumulating gradients additively across fan-out.
 Learnable tensors are dense; sparse graph operators enter only as fixed
-constants inside sparse_poly_apply.  One tape serves one forward/backward
-pass; a finished tape refuses a second backward.
+constants inside sparse_poly_apply, or already applied, as the precomputed
+powers that basis_combine weighs.  One tape serves one forward/backward pass;
+a finished tape refuses a second backward and has released every backward
+closure, so the arrays they captured are freed with the last reference.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ class Tape:
         self.finalized = True
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            if node.grad is not None and node.backward_fn is not None:
-                node.backward_fn(node.grad)
+            backward_fn, node.backward_fn = node.backward_fn, None
+            if node.grad is not None and backward_fn is not None:
+                backward_fn(node.grad)
 
 
 class Node:
@@ -168,12 +171,28 @@ def activation(x: Node, kind: str) -> Node:
     return out
 
 
+def monomial_powers(mat, x: np.ndarray, count: int):
+    """Yield mat^k x for k = 0 .. count-1 by iterated sparse products."""
+    power = x
+    yield power
+    for _ in range(count - 1):
+        power = mat @ power
+        yield power
+
+
+def _weighted_sum(cvals, wpow, powers) -> np.ndarray:
+    # one summation order for every polynomial, so a cached basis reproduces
+    # sparse_poly_apply bit for bit
+    return np.asarray(sum(c * wk * p for c, wk, p in zip(cvals, wpow, powers)))
+
+
 def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> Node:
     """y = sum_k c_k (w S)^k x for a fixed sparse operator S.
 
     coeffs is either a plain float array (non-learnable) or a list of scalar
     Nodes; meta_weight is the learnable scalar w (None means fixed 1).
-    Gradients flow to x, to w, and to learnable coeffs; never to S.
+    Gradients flow to x, to w, and to learnable coeffs; never to S.  S may be
+    non-symmetric: the x gradient applies its transpose.
     """
     mat = getattr(S, "matrix", S)
     if mat.shape[0] != mat.shape[1] or x.value.shape[0] != mat.shape[0]:
@@ -191,17 +210,16 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
         parents.append(meta_weight)
     tape = _tape_of(*[p for p in parents if isinstance(p, Node)])
 
-    # powers[k] = S^k x, kept for the backward pass
-    powers = [x.value]
-    for _ in range(len(cvals) - 1):
-        powers.append(mat @ powers[-1])
+    # powers[k] = S^k x is kept only when a w or coefficient gradient needs it
+    powers = monomial_powers(mat, x.value, len(cvals))
+    if meta_weight is not None or learnable_coeffs:
+        powers = list(powers)
     wpow = w ** np.arange(len(cvals))
-    y = sum(c * wk * p for c, wk, p in zip(cvals, wpow, powers))
-    out = Node(tape, np.asarray(y), "sparse_poly_apply", parents)
-    mat_t = mat.T.tocsr() if hasattr(mat, "tocsr") else mat.T
+    out = Node(tape, _weighted_sum(cvals, wpow, powers), "sparse_poly_apply", parents)
 
     def backward(g):
         # dx: sum_k c_k w^k (S^T)^k g, built by iterated transpose passes
+        mat_t = mat.T
         gx = cvals[0] * wpow[0] * g
         q = g
         for k in range(1, len(cvals)):
@@ -209,15 +227,38 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
             gx = gx + cvals[k] * wpow[k] * q
         x.accumulate(gx)
         if meta_weight is not None:
-            dw = 0.0
-            for k in range(1, len(cvals)):
-                dw += cvals[k] * k * w ** (k - 1) * float((g * powers[k]).sum())
-            meta_weight.accumulate(np.asarray(dw))
+            meta_weight.accumulate(np.asarray(_dw(cvals, w, powers, g)))
         if learnable_coeffs:
             for k, c in enumerate(coeffs):
                 c.accumulate(np.asarray(wpow[k] * float((g * powers[k]).sum())))
 
     out.backward_fn = backward
+    return out
+
+
+def _dw(cvals, w: float, powers, g) -> float:
+    """d/dw of sum_k c_k w^k <g, powers[k]>."""
+    dw = 0.0
+    for k in range(1, len(cvals)):
+        dw += cvals[k] * k * w ** (k - 1) * float((g * powers[k]).sum())
+    return dw
+
+
+def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
+    """y = sum_k c_k w^k B_k over constant precomputed powers B_k = S^k X.
+
+    Equals sparse_poly_apply(coeffs, S, X, w) bit for bit when basis holds
+    its powers, without a sparse product; the only gradient is dy/dw =
+    sum_k c_k k w^(k-1) B_k, since the basis is a constant.
+    """
+    cvals = np.asarray(coeffs, dtype=np.float64)
+    if len(basis) != len(cvals):
+        raise ValueError(f"{len(cvals)} coefficients for a basis of {len(basis)} powers")
+    w = float(meta_weight.value)
+    wpow = w ** np.arange(len(cvals))
+    out = Node(meta_weight.tape, _weighted_sum(cvals, wpow, basis), "basis_combine",
+               [meta_weight])
+    out.backward_fn = lambda g: meta_weight.accumulate(np.asarray(_dw(cvals, w, basis, g)))
     return out
 
 

@@ -22,7 +22,7 @@ from .metrics import pr_points, roc_points
 from .model import build_model, forward_pass, load_checkpoint, plan_type, save_checkpoint
 from .spectral import profile_capped
 from .synthetic import generate_synthetic_hin
-from .training import evaluate, train, write_history_csv
+from .training import split_metrics, train, write_history_csv
 
 
 def _write_json(path: str, obj) -> None:
@@ -187,9 +187,9 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
 
 
 def _emit_metrics(model, graph, out: str, prefix: str) -> None:
-    rec = evaluate(model, graph, "test")
-    _write_json(os.path.join(out, f"{prefix}metrics.json"), rec.as_dict())
     fp = forward_pass(model, graph)
+    rec = split_metrics(fp.prob, graph, "test")
+    _write_json(os.path.join(out, f"{prefix}metrics.json"), rec.as_dict())
     mask = graph.split_masks["test"]
     scores, labels = fp.prob[mask, 1], graph.labels[mask]
     _write_csv(os.path.join(out, f"{prefix}roc.csv"), ["fpr", "tpr"],

@@ -5,12 +5,17 @@ Three stages, built per graph:
 1. Multi-graph filter bank, one per node type: every valid meta-path graph of
    the type carries a fused Chi-Square filter applied through a learnable
    scalar importance w^S, and the filtered signals are summed into a semantic
-   representation (width-preserving).
+   representation (width-preserving).  The filter acts on the constant
+   features X, so each meta-path graph caches its powers S^k X once and a
+   forward pass only weighs them by c_k (w^S)^k: no sparse products.
 2. Alignment: one linear map per type onto a shared width d_a.
 3. Interactive meta-graph convolution: the aligned blocks are stacked in the
-   global node order, activated, and passed through a fixed set of Chi-Square
-   filter polynomials of the homogenized graph's shift operator; the target
-   block feeds an MLP head with two output columns.
+   global node order, activated, and passed through the sum of a fixed set
+   of Chi-Square filter polynomials of the homogenized graph's shift
+   operator.  They share the operator and the input, so the sum is applied as
+   one polynomial whose coefficients are summed once at build; its cost
+   follows the largest degree, not the sum of the degrees.  The target block
+   feeds an MLP head with two output columns.
 
 `filter_mode = lowpass1` swaps every filter for the degree-1 low-pass
 polynomial 1 - w/2, the ablation baseline.
@@ -37,6 +42,16 @@ from .spectral import (DivisionPlan, FusedFilter, assign_filter, fuse_filters,
 def lowpass1_filter() -> PolyFilter:
     """Degree-1 low-pass 1 - w/2: response 1 at w=0, 0 at w=2."""
     return PolyFilter(np.array([1.0, -0.5]), 1, 0.0)
+
+
+def summed_coeffs(filters: list[PolyFilter]) -> np.ndarray:
+    """Coefficients of sum_f f(S), each filter zero-padded to the longest."""
+    if not filters:
+        raise ValueError("empty filter set")
+    out = np.zeros(max(len(f.coeffs) for f in filters))
+    for f in filters:
+        out[:len(f.coeffs)] += f.coeffs
+    return out
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -90,18 +105,34 @@ class BankEntry:
     poly: PolyFilter            # active coefficients (fused fit, or the ablation)
     weight_name: str
     division: str
+    basis: list[np.ndarray] = field(default_factory=list, repr=False)  # S^k X
 
 
 @dataclass
 class MultiGraphFilterBank:
     node_type: str
     entries: list[BankEntry]
+    features: np.ndarray | None = field(default=None, repr=False)  # X of the bases
+
+    def refresh_basis(self, X: np.ndarray) -> None:
+        """Make every entry's cached powers S^k X those of X; a no-op when
+        they already are, a rebuild when X differs from the cached features."""
+        if self.features is not None and np.array_equal(self.features, X):
+            return
+        X = np.array(X, dtype=np.float64)
+        for e in self.entries:
+            e.basis = list(ad.monomial_powers(e.operator.matrix, X, len(e.poly.coeffs)))
+        self.features = X
 
 
 @dataclass
 class MetaGraphConvLayer:
     operator: ShiftOperator
     filters: list[PolyFilter]
+    coeffs: np.ndarray = field(init=False)     # summed_coeffs(filters)
+
+    def __post_init__(self):
+        self.coeffs = summed_coeffs(self.filters)
 
 
 @dataclass
@@ -176,6 +207,7 @@ def build_model(graph: HeteroGraph, cfg: RunConfig) -> ChiGadModel:
                 entries.append(BankEntry(
                     g, laplacian(g.adjacency, cfg.operator), fused, poly, name, division))
         banks[o] = MultiGraphFilterBank(o, entries)
+        banks[o].refresh_basis(graph.features[o])
 
     rng = np.random.default_rng(sub_seed(cfg.seed, "init"))
     for o in graph.node_types:
@@ -231,16 +263,20 @@ class ForwardPass:
     param_nodes: dict[str, ad.Node]
 
 
-def multi_graph_forward(bank: MultiGraphFilterBank, x: ad.Node,
+def multi_graph_forward(bank: MultiGraphFilterBank, X: np.ndarray,
                         weight_nodes: dict[str, ad.Node]) -> ad.Node:
-    """Semantic representation: sum over meta-paths of the fused filter applied
-    through the learnable importance w^S."""
+    """Semantic representation of the features X: sum over meta-paths of the
+    fused filter applied through the learnable importance w^S.
+
+    X is a constant, so it receives no gradient; the bank's cached powers are
+    rebuilt first if they were built from other features.
+    """
     if not bank.entries:
         raise ValueError(f"filter bank of type {bank.node_type} is empty")
+    bank.refresh_basis(X)
     acc = None
     for e in bank.entries:
-        term = ad.sparse_poly_apply(e.poly.coeffs, e.operator.matrix, x,
-                                    weight_nodes[e.weight_name])
+        term = ad.basis_combine(e.poly.coeffs, e.basis, weight_nodes[e.weight_name])
         acc = term if acc is None else ad.add(acc, term)
     return acc
 
@@ -256,18 +292,15 @@ def forward_pass(model: ChiGadModel, graph: HeteroGraph) -> ForwardPass:
 
     aligned = []
     for o in model.node_types:
-        x = tape.leaf(graph.features[o], f"X[{o}]")
         bank = model.banks[o]
         # a type with no valid meta-path keeps its raw features
-        xs = multi_graph_forward(bank, x, pnodes) if bank.entries else x
+        xs = (multi_graph_forward(bank, graph.features[o], pnodes) if bank.entries
+              else tape.leaf(graph.features[o], f"X[{o}]"))
         aligned.append(ad.matmul(xs, pnodes[f"W_align[{o}]"]))
 
     stacked = ad.vstack(aligned)   # node_types order = global node order
     activated = ad.activation(stacked, model.activation)
-    conv = None
-    for f in model.conv.filters:
-        term = ad.sparse_poly_apply(f.coeffs, model.conv.operator.matrix, activated)
-        conv = term if conv is None else ad.add(conv, term)
+    conv = ad.sparse_poly_apply(model.conv.coeffs, model.conv.operator.matrix, activated)
 
     lo = model.type_offsets[model.target_type]
     rep = ad.row_slice(conv, lo, lo + model.target_count)
@@ -326,10 +359,7 @@ def chignn_forward(net: ChiGnn, X: np.ndarray) -> tuple[np.ndarray, ForwardPass]
     pnodes = {name: tape.leaf(arr, name) for name, arr in net.params.items()}
     x = tape.leaf(np.asarray(X, dtype=np.float64), "X")
     h0 = ad.activation(ad.matmul(x, pnodes["W_in"]), net.activation)
-    conv = None
-    for f in net.filters:
-        term = ad.sparse_poly_apply(f.coeffs, net.operator.matrix, h0)
-        conv = term if conv is None else ad.add(conv, term)
+    conv = ad.sparse_poly_apply(summed_coeffs(net.filters), net.operator.matrix, h0)
     h = conv
     for k in range(net.mlp_layers):
         z = ad.add_bias(ad.matmul(h, pnodes[f"mlp.{k}.W"]), pnodes[f"mlp.{k}.b"])

@@ -187,13 +187,6 @@ class FusedFilter:
     own_division: str
 
 
-@dataclass
-class FilterAssignment:
-    division: str
-    assigned_index: int
-    fused: FusedFilter
-
-
 def fuse_filters(assignments: dict[str, int], own_division: str,
                  w_d: float = 0.1, d: int = 3,
                  grid_size: int = FUSION_GRID) -> FusedFilter:

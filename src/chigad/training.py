@@ -181,13 +181,18 @@ def train(model: ChiGadModel, graph: HeteroGraph, cfg: RunConfig) -> TrainRecord
     return record
 
 
-def evaluate(model: ChiGadModel, graph: HeteroGraph, split: str = "test",
-             threshold: float = 0.5) -> MetricsRecord:
+def split_metrics(prob: np.ndarray, graph: HeteroGraph, split: str = "test",
+                  threshold: float = 0.5) -> MetricsRecord:
+    """Metrics of target-node probabilities (n x 2) over one split."""
     mask = graph.split_masks[split]
     if not mask.any():
         raise ValueError(f"split '{split}' is empty")
-    fp = forward_pass(model, graph)
-    return compute_metrics(fp.prob[mask, 1], graph.labels[mask], threshold)
+    return compute_metrics(prob[mask, 1], graph.labels[mask], threshold)
+
+
+def evaluate(model: ChiGadModel, graph: HeteroGraph, split: str = "test",
+             threshold: float = 0.5) -> MetricsRecord:
+    return split_metrics(forward_pass(model, graph).prob, graph, split, threshold)
 
 
 def write_history_csv(record: TrainRecord, path: str) -> None:

@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
-                             add_bias, elementwise_mul, matmul, node_sum,
-                             row_slice, scale, sparse_poly_apply, vstack,
-                             weighted_softmax_ce)
+                             add_bias, basis_combine, elementwise_mul, matmul,
+                             monomial_powers, node_sum, row_slice, scale,
+                             sparse_poly_apply, vstack, weighted_softmax_ce)
 from oracles import dense_poly_apply, fd_gradient, grad_mismatch
 
 FD_TOL = 1e-6
@@ -15,6 +15,13 @@ def ring_operator(n):
     a = np.zeros((n, n))
     for k in range(n):
         a[k, (k + 1) % n] = a[(k + 1) % n, k] = 1.0
+    return sp.csr_matrix(a)
+
+
+def directed_operator(n, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+    assert not np.allclose(a, a.T)
     return sp.csr_matrix(a)
 
 
@@ -66,6 +73,20 @@ class TestValues:
             out = sparse_poly_apply(coeffs, S, t.leaf(X), t.leaf(w))
             want = dense_poly_apply(coeffs * w ** np.arange(deg + 1), S.toarray(), X)
             assert np.allclose(out.value, want, atol=1e-12)
+
+    def test_basis_combine_matches_sparse_poly(self):
+        # same powers, same summation order: equal bit for bit
+        rng = np.random.default_rng(11)
+        S = directed_operator(7)
+        X = rng.standard_normal((7, 3))
+        coeffs = rng.standard_normal(5)
+        t = Tape()
+        w = t.leaf(1.3)
+        got = basis_combine(coeffs, list(monomial_powers(S, X, 5)), w)
+        want = sparse_poly_apply(coeffs, S, t.leaf(X), w)
+        assert np.array_equal(got.value, want.value)
+        with pytest.raises(ValueError, match="basis"):
+            basis_combine(coeffs, list(monomial_powers(S, X, 4)), w)
 
     def test_ce_perfect_prediction(self):
         t = Tape()
@@ -153,16 +174,29 @@ class TestGradients:
 
     def test_sparse_poly_inputs_and_weight(self):
         rng = np.random.default_rng(4)
-        S = ring_operator(5)
         X = rng.standard_normal((5, 2))
         w = np.asarray(0.7)
         coeffs = np.array([0.5, -1.0, 0.25])
+        # the x gradient applies S^T, which a directed operator tells apart
+        for S in (ring_operator(5), directed_operator(5)):
+            def build(t, n):
+                y = sparse_poly_apply(coeffs, S, n[0], n[1])
+                return node_sum(elementwise_mul(y, y))
+
+            self.check(build, [X, w])
+
+    def test_basis_combine_weight(self):
+        rng = np.random.default_rng(12)
+        S = directed_operator(6, seed=1)
+        X = rng.standard_normal((6, 2))
+        coeffs = np.array([0.5, -1.0, 0.25, 0.8])
+        basis = list(monomial_powers(S, X, len(coeffs)))
 
         def build(t, n):
-            y = sparse_poly_apply(coeffs, S, n[0], n[1])
+            y = basis_combine(coeffs, basis, n[0])
             return node_sum(elementwise_mul(y, y))
 
-        self.check(build, [X, w])
+        self.check(build, [np.asarray(0.7)])
 
     def test_sparse_poly_learnable_coeffs(self):
         rng = np.random.default_rng(5)
@@ -238,6 +272,20 @@ class TestTapeDiscipline:
         x = t.leaf(np.ones((2, 2)))
         loss = node_sum(x)
         t.backward(loss)
+        with pytest.raises(RuntimeError, match="fresh tape"):
+            t.backward(loss)
+
+    def test_backward_releases_closures(self):
+        t = Tape()
+        x = t.leaf(np.ones((3, 2)))
+        y = sparse_poly_apply([1.0, 0.5], ring_operator(3), x, t.leaf(0.9))
+        unused = activation(x, "tanh")  # not on the loss path
+        loss = node_sum(elementwise_mul(y, y))
+        assert unused.backward_fn is not None
+        t.backward(loss)
+        assert x.grad is not None
+        assert len(t.nodes) == 6
+        assert all(node.backward_fn is None for node in t.nodes)
         with pytest.raises(RuntimeError, match="fresh tape"):
             t.backward(loss)
 

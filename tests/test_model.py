@@ -5,15 +5,19 @@ import pytest
 import scipy.sparse as sp
 
 from chigad import autodiff as ad
-from chigad.chifilter import PolyFilter
-from chigad.config import RunConfig
-from chigad.hin import (HomoGraph, hetero_graph_from_dict, hetero_graph_to_dict)
+from chigad.chifilter import PolyFilter, fit_polynomial
+from chigad.config import RunConfig, sub_seed
+from chigad.hin import (HomoGraph, ShiftOperator, hetero_graph_from_dict,
+                        hetero_graph_to_dict)
 from chigad.model import (build_chignn, build_model, chigad_forward,
                           chignn_forward, forward_pass, graph_signature,
                           load_checkpoint, lowpass1_filter, multi_graph_forward,
                           plan_type, save_checkpoint, softmax_rows)
+from chigad.synthetic import generate_synthetic_hin
+from chigad.training import train
 from conftest import make_hin
 from oracles import dense_poly_apply
+from test_acceptance import BENCH_SPEC, bench_config
 
 
 def small_model(rng_seed=42, **cfg_kw):
@@ -98,6 +102,12 @@ class TestBuild:
         degrees = [f.degree for f in model.conv.filters]
         # sorted unique candidates 1,2,3 with degree rule i-1+d
         assert degrees == [1 - 1 + 2, 2 - 1 + 2, 3 - 1 + 2]
+        # applied as one polynomial: their fits summed, zero-padded
+        want = np.zeros(3 - 1 + 2 + 1)
+        for i in (1, 2, 3):
+            fit = fit_polynomial(i, 2)
+            want[:len(fit.coeffs)] += fit.coeffs
+        assert np.array_equal(model.conv.coeffs, want)
 
     def test_lowpass_ablation(self):
         g, cfg, _ = small_model()
@@ -138,15 +148,50 @@ class TestForward:
         bank = model.banks["a"]
         assert bank.entries
         tape = ad.Tape()
-        X = np.random.default_rng(5).standard_normal((6, 3))
-        x = tape.leaf(X)
+        X = g.features["a"]
         wnodes = {e.weight_name: tape.leaf(1.7) for e in bank.entries}
-        out = multi_graph_forward(bank, x, wnodes)
+        out = multi_graph_forward(bank, X, wnodes)
         want = np.zeros_like(X)
         for e in bank.entries:
             scaled = e.poly.coeffs * 1.7 ** np.arange(len(e.poly.coeffs))
             want += dense_poly_apply(scaled, e.operator.matrix.toarray(), X)
         assert np.allclose(out.value, want, atol=1e-10)
+        # the cached powers reproduce the sparse products bit for bit
+        x = tape.leaf(X)
+        direct = None
+        for e in bank.entries:
+            term = ad.sparse_poly_apply(e.poly.coeffs, e.operator.matrix, x,
+                                        wnodes[e.weight_name])
+            direct = term if direct is None else ad.add(direct, term)
+        assert np.array_equal(out.value, direct.value)
+
+    def test_basis_follows_features(self):
+        # a same-schema graph with other features rebuilds the cached powers
+        g, cfg, model = small_model()
+        rng = np.random.default_rng(9)
+        for name in model.params:
+            model.params[name] = rng.standard_normal(model.params[name].shape)
+        doc = hetero_graph_to_dict(g)
+        for nt in doc["node_types"]:
+            nt["features"] = (2.0 * np.array(nt["features"])).tolist()
+        doubled = hetero_graph_from_dict(doc)
+        # doubling the features scales every Rayleigh quotient and band
+        # energy exactly, so the fresh build makes the same plan
+        fresh = build_model(doubled, cfg)
+        for o in model.node_types:
+            assert ([e.poly.coeffs.tolist() for e in model.banks[o].entries] ==
+                    [e.poly.coeffs.tolist() for e in fresh.banks[o].entries])
+        fresh.params = {k: v.copy() for k, v in model.params.items()}
+
+        p0, r0 = chigad_forward(model, g)
+        p1, r1 = chigad_forward(model, doubled)
+        want_p, want_r = chigad_forward(fresh, doubled)
+        assert not np.allclose(r0, r1)
+        assert np.array_equal(p1, want_p)
+        assert np.array_equal(r1, want_r)
+        # and back again
+        p2, r2 = chigad_forward(model, g)
+        assert np.array_equal(p2, p0) and np.array_equal(r2, r0)
 
     def test_zero_features_collapse_rows(self):
         # with all-zero inputs only the MLP biases drive the logits, so every
@@ -336,3 +381,62 @@ class TestChiGnn:
     def test_empty_filter_set(self):
         with pytest.raises(ValueError, match="empty filter set"):
             build_chignn(self.homo(), feature_dim=2, filter_indices=[], hidden=3)
+
+
+@pytest.fixture(scope="module")
+def c7_graph():
+    """The acceptance-c7 benchmark graph and config, seed 0, one epoch."""
+    cfg = bench_config(0, "chi")
+    cfg.epochs = 1
+    return generate_synthetic_hin(BENCH_SPEC, sub_seed(0, "synth")), cfg
+
+
+class CountingOperator:
+    """Sparse-matrix stand-in that counts its products with dense operands."""
+
+    def __init__(self, mat, counter: list[int]):
+        self.mat, self.counter = mat, counter
+
+    @property
+    def shape(self):
+        return self.mat.shape
+
+    @property
+    def T(self):
+        return CountingOperator(self.mat.T, self.counter)
+
+    def __matmul__(self, other):
+        self.counter[0] += 1
+        return self.mat @ other
+
+
+def counted(op: ShiftOperator, counter: list[int]) -> ShiftOperator:
+    return ShiftOperator(CountingOperator(op.matrix, counter), op.kind)
+
+
+class TestBenchGraph:
+    def test_summed_conv_matches_per_filter_oracles(self, c7_graph):
+        graph, cfg = c7_graph
+        model = build_model(graph, cfg)
+        S = model.conv.operator.matrix
+        H = np.random.default_rng(3).standard_normal((S.shape[0], cfg.aligned_dim))
+        got = ad.sparse_poly_apply(model.conv.coeffs, S, ad.Tape().leaf(H)).value
+        dense = S.toarray()
+        want = sum(dense_poly_apply(f.coeffs, dense, H) for f in model.conv.filters)
+        assert len(model.conv.filters) == len(set(cfg.candidates))
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_epoch_matvec_counts(self, c7_graph):
+        # one training epoch: the banks weigh cached powers (no products) and
+        # the convolution is one polynomial, applied forward and transposed
+        graph, cfg = c7_graph
+        model = build_model(graph, cfg)
+        bank_calls, conv_calls = [0], [0]
+        for bank in model.banks.values():
+            for e in bank.entries:
+                e.operator = counted(e.operator, bank_calls)
+        model.conv.operator = counted(model.conv.operator, conv_calls)
+        train(model, graph, cfg)
+        max_degree = max(f.degree for f in model.conv.filters)
+        assert bank_calls[0] == 0
+        assert conv_calls[0] == 2 * max_degree == 28
