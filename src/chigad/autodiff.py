@@ -7,7 +7,11 @@ Learnable tensors are dense; sparse graph operators enter only as fixed
 constants inside sparse_poly_apply, or already applied, as the precomputed
 powers that basis_combine weighs.  One tape serves one forward/backward pass;
 a finished tape refuses a second backward and has released every backward
-closure, so the arrays they captured are freed with the last reference.
+closure, so the arrays they captured are freed with the last reference.  Its
+nodes also drop their reference back to it, which breaks the tape <-> node
+cycle: a finished tape, with every value and grad it holds, is freed by
+reference counting once the caller lets go, not at the next cyclic garbage
+collection.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class Tape:
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
             backward_fn, node.backward_fn = node.backward_fn, None
+            node.tape = None
             if node.grad is not None and backward_fn is not None:
                 backward_fn(node.grad)
 
@@ -49,6 +54,8 @@ class Node:
     __slots__ = ("tape", "value", "grad", "op", "parents", "backward_fn")
 
     def __init__(self, tape, value, op, parents, backward_fn=None):
+        if tape is None:
+            raise ValueError("operand belongs to a finished tape; build a fresh tape")
         self.tape = tape
         self.value = value
         self.grad = None

@@ -19,8 +19,8 @@ from .chifilter import (admissibility_integral, chi_mode, chi_moments,
 from .config import RunConfig, load_config, sub_seed
 from .hin import load_hetero_graph, save_hetero_graph
 from .metrics import pr_points, roc_points
-from .model import build_model, forward_pass, load_checkpoint, plan_type, save_checkpoint
-from .spectral import profile_capped
+from .model import (build_model, checkpoint_plan, forward_pass, load_checkpoint,
+                    plan_type, save_checkpoint)
 from .synthetic import generate_synthetic_hin
 from .training import split_metrics, train, write_history_csv
 
@@ -112,17 +112,13 @@ def cmd_metapaths(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, out: str) -> int:
-    graph, plans = _all_plans(cfg)
+    _, plans = _all_plans(cfg)
     band_rows, report = [], []
     for o, tp in plans.items():
         if tp.plan is None:
             continue
         for division, rep_idx in tp.plan.representatives.items():
-            rep = tp.graphs[rep_idx]
-            k_eff = min(cfg.bands, min(rep.num_nodes, cfg.eig_cap))
-            profile = profile_capped(
-                rep, graph.features[o], k_eff, cfg.eig_cap,
-                sub_seed(cfg.seed, f"profile:{o}:{division}"))
+            profile = tp.profiles[division]
             bands = []
             for k in range(profile.num_bands):
                 lo, hi = profile.band_edges[k], profile.band_edges[k + 1]
@@ -179,8 +175,9 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
     if not cfg.graph:
         raise ValueError("config key 'graph' is required for this command")
     graph = load_hetero_graph(cfg.graph)
-    model = build_model(graph, cfg)
     ckpt = cfg.checkpoint or os.path.join(out, "model.ckpt")
+    # the trained filter plan, not a fresh one: no ranking, no eigendecomposition
+    model = build_model(graph, cfg, plan=checkpoint_plan(ckpt))
     load_checkpoint(model, ckpt)
     _emit_metrics(model, graph, out, prefix="eval_")
     return 0
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("analyze", "dump spectral profiles of the division representatives"),
         ("synth", "generate a synthetic labeled graph"),
         ("train", "train a model and write checkpoint, history, metrics"),
-        ("eval", "reload a checkpoint and reproduce test metrics"),
+        ("eval", "score the graph with a checkpoint's weights and filter plan"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a key = value config file")

@@ -35,6 +35,8 @@ LABEL_BENIGN = 0
 LABEL_ANOMALY = 1
 LABEL_UNKNOWN = -1
 
+SPLITS = ("train", "val", "test")
+
 
 @dataclass
 class Relation:
@@ -175,7 +177,9 @@ def load_hetero_graph(path: str) -> HeteroGraph:
 
     Node ordering is file order; all indices are 0-based per-type local ids.
     Raises GraphFormatError on malformed input, dangling edge endpoints,
-    overlapping split masks, or masked nodes without labels.
+    overlapping split masks, or masked nodes without labels, and names the
+    field for a non-integer edge or split id, a label other than 0, 1 or
+    null, a split key other than train/val/test, or a NaN or inf feature.
     """
     try:
         with open(path) as fh:
@@ -183,6 +187,17 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     except (OSError, json.JSONDecodeError) as exc:
         raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
     return hetero_graph_from_dict(doc)
+
+
+def _id_array(values, what: str) -> np.ndarray:
+    """Node ids as an int64 array; any value that is not an integer is an error."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:   # ragged nesting
+        raise GraphFormatError(f"{what}: malformed id list") from exc
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphFormatError(f"{what}: node ids must be integers")
+    return arr.astype(np.int64)
 
 
 def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
@@ -200,6 +215,8 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
         if feats.shape != (count, dim):
             raise GraphFormatError(
                 f"node type {name}: features shape {feats.shape} != ({count}, {dim})")
+        if not np.isfinite(feats).all():
+            raise GraphFormatError(f"node type {name}: features contain NaN or inf")
         node_types.append(name)
         node_counts[name] = count
         features[name] = feats
@@ -216,7 +233,7 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
         edges = spec["edges"]
         n_src, n_dst = node_counts[src], node_counts[dst]
         if edges:
-            arr = np.asarray(edges, dtype=np.int64)
+            arr = _id_array(edges, f"relation {name}: edges")
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise GraphFormatError(f"relation {name}: edges must be [u, v] pairs")
             u, v = arr[:, 0], arr[:, 1]
@@ -230,13 +247,20 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
     target = doc["target_type"]
     if target not in node_counts:
         raise GraphFormatError(f"target type '{target}' not among node types")
+    for k, v in enumerate(doc["labels"]):
+        if not (v is None or (type(v) is int and v in (LABEL_BENIGN, LABEL_ANOMALY))):
+            raise GraphFormatError(f"labels[{k}]: {v!r} is not 0, 1 or null")
     labels = np.asarray(
-        [LABEL_UNKNOWN if v is None else int(v) for v in doc["labels"]], dtype=np.int64)
+        [LABEL_UNKNOWN if v is None else v for v in doc["labels"]], dtype=np.int64)
 
+    unknown = sorted(set(doc["splits"]) - set(SPLITS))
+    if unknown:
+        raise GraphFormatError(
+            f"splits: unknown split key '{unknown[0]}' (expected one of {list(SPLITS)})")
     n_t = node_counts[target]
     masks = {}
-    for split in ("train", "val", "test"):
-        ids = np.asarray(doc["splits"].get(split, []), dtype=np.int64)
+    for split in SPLITS:
+        ids = _id_array(doc["splits"].get(split, []), f"split '{split}'")
         mask = np.zeros(n_t, dtype=bool)
         if ids.size:
             if ids.min() < 0 or ids.max() >= n_t:
@@ -319,7 +343,7 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
         doc["relations"].append(
             {"name": rel["name"], "src": rel["src"], "dst": rel["dst"], "edges": edges})
 
-    splits: dict[str, list[int]] = {"train": [], "val": [], "test": []}
+    splits: dict[str, list[int]] = {name: [] for name in SPLITS}
     for row in _read_csv(os.path.join(directory, "splits.csv"))[1:]:
         nid, split = int(row[0]), row[1]
         if split not in splits:

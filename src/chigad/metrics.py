@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass
@@ -39,12 +38,26 @@ def _require_both_classes(labels):
         raise ValueError("labels contain a single class; ranking metric undefined")
 
 
+def midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions; NaN propagates."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], len(s))          # exclusive
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores, labels) -> float:
     scores, labels = _check(scores, labels)
     _require_both_classes(labels)
     pos = labels == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    ranks = rankdata(scores)  # midranks on ties
+    ranks = midranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

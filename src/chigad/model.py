@@ -19,6 +19,11 @@ Three stages, built per graph:
 
 `filter_mode = lowpass1` swaps every filter for the degree-1 low-pass
 polynomial 1 - w/2, the ablation baseline.
+
+Stage 1's filters come from a per-type spectral plan (s_high ranking, one
+profiled representative per division, the nearest Chi-Square mode).  A
+checkpoint stores that plan, and `build_model(graph, cfg, plan)` reuses it
+instead of ranking and profiling again.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .config import RunConfig, sub_seed
 from .hin import (HeteroGraph, HomoGraph, MetaPath, MetaPathGraph,
                   ShiftOperator, degenerate_method1, enumerate_meta_paths,
                   laplacian, materialize_meta_path_graph)
-from .spectral import (DivisionPlan, FusedFilter, assign_filter, fuse_filters,
+from .spectral import (DEGENERATE_DIVISION, DIVISIONS, DivisionPlan, FusedFilter,
+                       SpectralProfile, assign_filter, fuse_filters,
                        profile_capped, select_representatives)
 
 
@@ -71,25 +77,86 @@ class TypePlan:
     plan: DivisionPlan | None        # None when no valid meta-path exists
     band_max: dict[str, float]
     assigned: dict[str, int]         # division -> filter index
+    # division -> profile of its representative; empty for a stored plan
+    profiles: dict[str, SpectralProfile] = field(default_factory=dict, repr=False)
 
 
-def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig) -> TypePlan:
-    """Enumerate, rank, and profile the meta-path graphs of one node type."""
+def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
+              stored: dict | None = None) -> TypePlan:
+    """Enumerate and materialize the meta-path graphs of one node type, then
+    rank and profile them; given a stored plan document (see `plan_document`),
+    check it against the graphs and use it instead of ranking and profiling.
+    """
     paths = enumerate_meta_paths(graph, node_type, cfg.path_min, cfg.path_max)
     graphs = [materialize_meta_path_graph(graph, p) for p in paths]
+    if stored is not None:
+        return _restore_type_plan(node_type, paths, graphs, stored)
     X = graph.features[node_type]
     if not any(not g.is_empty for g in graphs):
         return TypePlan(node_type, paths, graphs, None, {}, {})
     plan = select_representatives(graphs, X)
     band_max: dict[str, float] = {}
     assigned: dict[str, int] = {}
+    profiles: dict[str, SpectralProfile] = {}
     for division, rep_idx in plan.representatives.items():
         rep = graphs[rep_idx]
         k_eff = min(cfg.bands, min(rep.num_nodes, cfg.eig_cap))
         profile = profile_capped(rep, X, k_eff, cfg.eig_cap,
                                  sub_seed(cfg.seed, f"profile:{node_type}:{division}"))
+        profiles[division] = profile
         band_max[division] = profile.band_max
         assigned[division] = assign_filter(profile.band_max, list(cfg.candidates))
+    return TypePlan(node_type, paths, graphs, plan, band_max, assigned, profiles)
+
+
+def plan_document(plans: dict[str, TypePlan]) -> dict:
+    """JSON form of the plans of the node types that have valid meta-paths."""
+    return {o: {"paths": [str(p) for p in tp.paths],
+                "labels": list(tp.plan.labels),
+                "scores": list(tp.plan.scores),
+                "representatives": dict(tp.plan.representatives),
+                "degenerate": tp.plan.degenerate,
+                "band_max": dict(tp.band_max),
+                "assigned": dict(tp.assigned)}
+            for o, tp in plans.items() if tp.plan is not None}
+
+
+def _restore_type_plan(node_type: str, paths: list[MetaPath],
+                       graphs: list[MetaPathGraph], stored: dict) -> TypePlan:
+    """Rebuild a TypePlan from a plan document after checking it against the
+    meta-path graphs materialized from the graph at hand."""
+    def mismatch(key: str, why: str) -> ValueError:
+        return ValueError(f"stored filter plan, node type '{node_type}', "
+                          f"field '{key}': {why}")
+
+    doc = stored.get(node_type)
+    if not any(not g.is_empty for g in graphs):
+        if doc is not None:
+            raise mismatch("paths", "the graph has no valid meta-path for this type")
+        return TypePlan(node_type, paths, graphs, None, {}, {})
+    if doc is None:
+        raise mismatch("paths", "no plan stored for a type with valid meta-paths")
+    missing = [k for k in ("paths", "labels", "scores", "representatives",
+                           "degenerate", "band_max", "assigned") if k not in doc]
+    if missing:
+        raise mismatch(missing[0], "missing")
+    if doc["paths"] != [str(p) for p in paths]:
+        raise mismatch("paths", "differs from the graph's meta-paths")
+    labels = doc["labels"]
+    if (len(labels) != len(graphs)
+            or any((lab is None) != g.is_empty for lab, g in zip(labels, graphs))):
+        raise mismatch("labels", "must be null exactly on the empty meta-path graphs")
+    divisions = (DEGENERATE_DIVISION,) if doc["degenerate"] else DIVISIONS
+    if any(lab not in divisions for lab in labels if lab is not None):
+        raise mismatch("labels", f"must be among the divisions {list(divisions)}")
+    for key in ("representatives", "band_max", "assigned"):
+        if set(doc[key]) != set(divisions):
+            raise mismatch(key, f"keys must be the divisions {list(divisions)}")
+    plan = DivisionPlan(list(labels),
+                        {d: int(doc["representatives"][d]) for d in divisions},
+                        list(doc["scores"]), bool(doc["degenerate"]))
+    band_max = {d: float(doc["band_max"][d]) for d in divisions}
+    assigned = {d: int(doc["assigned"][d]) for d in divisions}
     return TypePlan(node_type, paths, graphs, plan, band_max, assigned)
 
 
@@ -181,10 +248,20 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def build_model(graph: HeteroGraph, cfg: RunConfig) -> ChiGadModel:
-    """Assemble banks, alignment, convolution, and head for one graph."""
+def build_model(graph: HeteroGraph, cfg: RunConfig,
+                plan: dict | None = None) -> ChiGadModel:
+    """Assemble banks, alignment, convolution, and head for one graph.
+
+    Without `plan` every node type is planned from the graph (ranking and
+    spectral profiles); with a plan document, such as a checkpoint's, the
+    stored plan is checked against the graph and used as is.
+    """
     cfg.validate()
     graph.validate()
+    if plan is not None:
+        unknown = sorted(set(plan) - set(graph.node_types))
+        if unknown:
+            raise ValueError(f"stored filter plan names unknown node type '{unknown[0]}'")
     ablation = cfg.filter_mode == "lowpass1"
     lowpass = lowpass1_filter()
 
@@ -192,7 +269,7 @@ def build_model(graph: HeteroGraph, cfg: RunConfig) -> ChiGadModel:
     banks: dict[str, MultiGraphFilterBank] = {}
     plans: dict[str, TypePlan] = {}
     for o in graph.node_types:
-        tp = plan_type(graph, o, cfg)
+        tp = plan_type(graph, o, cfg, plan)
         plans[o] = tp
         entries: list[BankEntry] = []
         if tp.plan is not None:
@@ -371,15 +448,26 @@ def chignn_forward(net: ChiGnn, X: np.ndarray) -> tuple[np.ndarray, ForwardPass]
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = "chigad-checkpoint-v1"
+CHECKPOINT_MAGIC = "chigad-checkpoint-v2"
+CHECKPOINT_V1_MAGIC = "chigad-checkpoint-v1"
 
 
 def save_checkpoint(model: ChiGadModel, path: str, extra: dict | None = None) -> None:
-    """JSON header line + parameters as little-endian float64, declaration order."""
+    """JSON header line + parameters as little-endian float64, declaration order.
+
+    The header (written with sorted keys, so the file is byte-reproducible)
+    carries the magic, the schema hash, the parameter layout, the caller's
+    extra dict, and the filter plan of every node type with valid meta-paths
+    (`plan_document`): meta-path strings, division labels, s_high scores,
+    representatives, band_max and assigned filter indices.  JSON floats
+    round-trip exactly, so `build_model(graph, cfg, plan)` rebuilds the same
+    filters without ranking or profiling.
+    """
     header = {
         "magic": CHECKPOINT_MAGIC,
         "schema_hash": model.schema_hash,
         "params": [[name, list(arr.shape)] for name, arr in model.params.items()],
+        "plan": plan_document(model.plans),
         "extra": extra or {},
     }
     with open(path, "wb") as fh:
@@ -388,20 +476,45 @@ def save_checkpoint(model: ChiGadModel, path: str, extra: dict | None = None) ->
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(model: ChiGadModel, path: str) -> dict:
-    """Load parameters into a model built for the same graph and config.
+def _read_header(fh) -> dict:
+    header = json.loads(fh.readline().decode())
+    magic = header.get("magic") if isinstance(header, dict) else None
+    if magic == CHECKPOINT_V1_MAGIC:
+        raise ValueError(f"checkpoint format {CHECKPOINT_V1_MAGIC} stores no filter "
+                         f"plan and is no longer read; re-run train to write a "
+                         f"{CHECKPOINT_MAGIC} file")
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError("not a model checkpoint file")
+    return header
 
-    Returns the header's extra dict.  A schema-hash mismatch is an error: the
-    checkpoint belongs to a different graph or architecture.
+
+def checkpoint_plan(path: str) -> dict:
+    """The plan document stored in a checkpoint, for `build_model(..., plan=)`."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)["plan"]
+
+
+def load_checkpoint(model: ChiGadModel, path: str) -> dict:
+    """Load parameters into a model built for the same graph, config and plan.
+
+    Returns the header's extra dict.  It is an error when the schema hash
+    differs (a different graph or architecture), when the stored filter plan
+    differs from `model.plans` in its meta-paths, division labels or assigned
+    filters (weights trained for other filters), when the parameter layout
+    differs, and when the parameter bytes are short or followed by more.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        header = _read_header(fh)
         blob = fh.read()
-    if header.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError("not a model checkpoint file")
     if header["schema_hash"] != model.schema_hash:
         raise ValueError(
             "checkpoint schema hash mismatch: built for a different graph or config")
+    stored, current = header["plan"], plan_document(model.plans)
+    for o in sorted(set(stored) | set(current)):
+        for key in ("paths", "labels", "assigned"):
+            if stored.get(o, {}).get(key) != current.get(o, {}).get(key):
+                raise ValueError(f"checkpoint filter plan mismatch: node type '{o}', "
+                                 f"field '{key}' differs from the model's plan")
     expected = [[name, list(arr.shape)] for name, arr in model.params.items()]
     if header["params"] != expected:
         raise ValueError("checkpoint parameter layout mismatch")
@@ -413,4 +526,7 @@ def load_checkpoint(model: ChiGadModel, path: str) -> dict:
             raise ValueError("checkpoint truncated")
         model.params[name] = flat.reshape(arr.shape).copy()
         offset += n
+    if offset != len(blob):
+        raise ValueError(f"checkpoint has {len(blob) - offset} trailing bytes "
+                         f"after the last parameter")
     return header.get("extra", {})

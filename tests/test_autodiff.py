@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -288,6 +291,24 @@ class TestTapeDiscipline:
         assert all(node.backward_fn is None for node in t.nodes)
         with pytest.raises(RuntimeError, match="fresh tape"):
             t.backward(loss)
+
+    def test_finished_tape_freed_without_cyclic_gc(self):
+        gc.disable()
+        try:
+            t = Tape()
+            x = t.leaf(np.ones((3, 2)))
+            loss = node_sum(elementwise_mul(x, x))
+            t.backward(loss)
+            assert len(t.nodes) == 3          # the record itself stays intact
+            assert all(node.tape is None for node in t.nodes)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+            assert np.array_equal(x.grad, 2 * np.ones((3, 2)))
+            with pytest.raises(ValueError, match="finished tape"):
+                add(x, x)
+        finally:
+            gc.enable()
 
     def test_non_scalar_root(self):
         t = Tape()

@@ -6,6 +6,11 @@ import pytest
 from chigad.cli import main
 from chigad.config import (DEFAULT_CANDIDATES, RunConfig, config_to_dict,
                            load_config, parse_config, sub_seed)
+from chigad.hin import load_hetero_graph, save_hetero_graph
+from chigad.model import (CHECKPOINT_V1_MAGIC, build_model, checkpoint_plan,
+                          forward_pass, load_checkpoint)
+from chigad.training import split_metrics
+from test_model import refeatured, rewrite_header
 
 
 class TestConfigDefaults:
@@ -212,6 +217,66 @@ class TestCliGraphCommands:
         lines = (out / "bands.csv").read_text().strip().splitlines()
         assert lines[0] == "node_type,division,band,lambda_lo,lambda_hi,energy"
 
+    def test_analyze_profiles_each_representative_once(self, tmp_path, monkeypatch):
+        gpath = self.synth_graph(tmp_path)
+        cfg = write_cfg(tmp_path / "a.cfg", [f"graph = {gpath}", "candidates = 1, 2",
+                                             "bands = 3"])
+        real, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("numpy.linalg.eigh", counted)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "analyze.json").read_text())
+        assert len(calls) == len(report) > 0
+
+    def trained(self, tmp_path):
+        gpath = self.synth_graph(tmp_path)
+        cfg = write_cfg(tmp_path / "t.cfg", [f"graph = {gpath}"] + SMALL_TRAIN)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        return gpath, cfg, out
+
+    def test_eval_makes_no_plan(self, tmp_path, monkeypatch):
+        _, cfg, out = self.trained(tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eval ranked, profiled or decomposed")
+
+        for target in ("chigad.model.select_representatives",
+                       "chigad.model.profile_capped", "numpy.linalg.eigh"):
+            monkeypatch.setattr(target, forbidden)
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "eval_metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    def test_eval_scores_same_schema_graph_with_trained_filters(self, tmp_path):
+        gpath, cfg, run = self.trained(tmp_path)
+        train_cfg, ckpt = load_config(cfg), str(run / "model.ckpt")
+        trained_plans = build_model(load_hetero_graph(gpath), train_cfg).plans
+        other = refeatured(load_hetero_graph(gpath), 1)
+        opath = str(tmp_path / "other.json")
+        save_hetero_graph(other, opath)
+        # re-planning on the new features picks other filters: the weights refuse it
+        replanned = build_model(other, train_cfg)
+        assert ({o: tp.assigned for o, tp in replanned.plans.items()}
+                != {o: tp.assigned for o, tp in trained_plans.items()})
+        with pytest.raises(ValueError, match="filter plan mismatch"):
+            load_checkpoint(replanned, ckpt)
+
+        ecfg = write_cfg(tmp_path / "e.cfg",
+                         [f"graph = {opath}", f"checkpoint = {ckpt}"] + SMALL_TRAIN)
+        scored = tmp_path / "scored"
+        assert main(["eval", "--config", ecfg, "--out", str(scored)]) == 0
+        model = build_model(other, train_cfg, plan=checkpoint_plan(ckpt))
+        load_checkpoint(model, ckpt)
+        for o, tp in trained_plans.items():
+            assert model.plans[o].assigned == tp.assigned
+        want = split_metrics(forward_pass(model, other).prob, other, "test").as_dict()
+        assert json.loads((scored / "eval_metrics.json").read_text()) == want
+
     def test_train_then_eval_reproduces(self, tmp_path):
         gpath = self.synth_graph(tmp_path)
         cfg = write_cfg(tmp_path / "t.cfg", [f"graph = {gpath}"] + SMALL_TRAIN)
@@ -261,6 +326,12 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path / "c.cfg", ["graph = /nonexistent/g.json"])
         self.check_error(capsys, ["analyze", "--config", cfg,
                                   "--out", str(tmp_path / "o")], "error:")
+
+    def test_eval_v1_checkpoint(self, tmp_path, capsys):
+        _, cfg, run = TestCliGraphCommands().trained(tmp_path)
+        rewrite_header(run / "model.ckpt", lambda h: h.update(magic=CHECKPOINT_V1_MAGIC))
+        self.check_error(capsys, ["eval", "--config", cfg, "--out", str(run)],
+                         "re-run train")
 
     def test_eval_without_checkpoint(self, tmp_path, capsys):
         gpath = TestCliGraphCommands().synth_graph(tmp_path)

@@ -113,6 +113,54 @@ class TestLoading:
             hetero_graph_from_dict(doc)
 
 
+class TestStrictIngestion:
+    """Each malformed value fails at load, naming its field, instead of being
+    truncated, ignored, or failing later inside training."""
+
+    @pytest.mark.parametrize("edge", [[1.7, 0], [1.0, 0], ["1", 0], [None, 0], [True, 0.5]])
+    def test_non_integer_edge_id(self, edge):
+        doc = paper_schema_doc()
+        doc["relations"][0]["edges"].append(edge)
+        with pytest.raises(GraphFormatError, match="relation compose: edges"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("ids", [[2.5], [1.0], ["2"], [0, None]])
+    def test_non_integer_split_id(self, ids):
+        doc = paper_schema_doc()
+        doc["splits"]["test"] = ids
+        with pytest.raises(GraphFormatError, match="split 'test'"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("label", [2, -5, -1, 0.5, 1.0, "1", True])
+    def test_label_not_binary(self, label):
+        doc = paper_schema_doc()
+        doc["labels"][2] = label
+        with pytest.raises(GraphFormatError, match=r"labels\[2\]"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["trian", "Test", "validation"])
+    def test_unknown_split_key(self, key):
+        doc = paper_schema_doc()
+        doc["splits"][key] = doc["splits"].pop("train")
+        with pytest.raises(GraphFormatError, match=f"splits: unknown split key '{key}'"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature(self, value):
+        doc = paper_schema_doc()
+        doc["node_types"][1]["features"][1][0] = value
+        with pytest.raises(GraphFormatError, match="node type P: features contain NaN or inf"):
+            hetero_graph_from_dict(doc)
+
+    def test_valid_values_still_load(self):
+        doc = paper_schema_doc()
+        doc["labels"][1] = None
+        doc["splits"] = {"train": [0], "test": [2]}
+        g = hetero_graph_from_dict(doc)
+        assert g.labels.tolist() == [0, -1, 0]
+        assert not g.split_masks["val"].any()
+
+
 class TestCsvLoading:
     def test_matches_json_variant(self, tmp_path):
         doc = paper_schema_doc()

@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
 
-from chigad.metrics import (auprc, auroc, compute_metrics, f1_macro, pr_points,
-                            recall, roc_points)
+from scipy.stats import rankdata
+
+from chigad.metrics import (auprc, auroc, compute_metrics, f1_macro, midranks,
+                            pr_points, recall, roc_points)
 from oracles import auprc_sweep, auroc_all_pairs
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_scipy_rankdata_with_many_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 2, 7, 100, 1000):
+            for levels in (1, 3, 50):
+                x = rng.integers(0, levels, n) / 7.0
+                assert np.array_equal(midranks(x), rankdata(x))
+        x = rng.random(500)
+        assert np.array_equal(midranks(x), rankdata(x))
+
+    def test_nan_propagates(self):
+        assert np.isnan(midranks(np.array([0.3, np.nan, 0.1]))).all()
 
 
 class TestAuroc:

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,15 +11,34 @@ from chigad.chifilter import PolyFilter, fit_polynomial
 from chigad.config import RunConfig, sub_seed
 from chigad.hin import (HomoGraph, ShiftOperator, hetero_graph_from_dict,
                         hetero_graph_to_dict)
-from chigad.model import (build_chignn, build_model, chigad_forward,
-                          chignn_forward, forward_pass, graph_signature,
-                          load_checkpoint, lowpass1_filter, multi_graph_forward,
+from chigad.model import (CHECKPOINT_V1_MAGIC, build_chignn, build_model,
+                          chigad_forward, chignn_forward, checkpoint_plan,
+                          forward_pass, graph_signature, load_checkpoint,
+                          lowpass1_filter, multi_graph_forward, plan_document,
                           plan_type, save_checkpoint, softmax_rows)
 from chigad.synthetic import generate_synthetic_hin
 from chigad.training import train
 from conftest import make_hin
 from oracles import dense_poly_apply
 from test_acceptance import BENCH_SPEC, bench_config
+
+
+def refeatured(graph, seed):
+    """The same schema and edges with fresh normal features on every type."""
+    doc = hetero_graph_to_dict(graph)
+    rng = np.random.default_rng(seed)
+    for spec in doc["node_types"]:
+        spec["features"] = rng.normal(size=np.shape(spec["features"])).tolist()
+    return hetero_graph_from_dict(doc)
+
+
+def rewrite_header(path, edit):
+    """Apply edit to a checkpoint's JSON header, keeping the parameter bytes."""
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:])
 
 
 def small_model(rng_seed=42, **cfg_kw):
@@ -267,6 +288,25 @@ class TestForward:
         assert np.allclose(p1[perm], p2, atol=1e-9)
 
 
+class TestTapeLifetime:
+    def test_finished_forward_pass_freed_without_cyclic_gc(self):
+        g, cfg, model = small_model()
+        gc.disable()
+        try:
+            fp = forward_pass(model, g)
+            loss = ad.weighted_softmax_ce(fp.logits, g.labels, np.ones(len(g.labels)),
+                                          g.split_masks["train"])
+            fp.tape.backward(loss)
+            with pytest.raises(RuntimeError, match="fresh tape"):
+                fp.tape.backward(loss)
+            assert fp.param_nodes["mlp.1.W"].grad is not None
+            ref = weakref.ref(fp.tape)
+            del fp
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestSoftmax:
     def test_rows_sum_one(self):
         z = np.array([[1000.0, 1000.0], [-500.0, 500.0]])
@@ -316,6 +356,102 @@ class TestCheckpoint:
         path.write_bytes(b'{"magic": "something-else"}\n')
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(model, str(path))
+
+    def test_plan_round_trip(self, tmp_path):
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        stored = checkpoint_plan(str(path))
+        assert stored == plan_document(model.plans)
+        assert set(stored) == {"a", "b", "c"}
+        rebuilt = build_model(g, cfg, plan=stored)
+        for o, tp in model.plans.items():
+            got = rebuilt.plans[o]
+            assert got.paths == tp.paths
+            assert got.plan == tp.plan
+            assert got.band_max == tp.band_max and got.assigned == tp.assigned
+            assert tp.profiles and not got.profiles
+        load_checkpoint(rebuilt, str(path))
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(rebuilt, str(again))
+        assert again.read_bytes() == path.read_bytes()
+        assert np.array_equal(forward_pass(rebuilt, g).prob, forward_pass(model, g).prob)
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        rewrite_header(path, lambda h: h.update(magic=CHECKPOINT_V1_MAGIC))
+        for read in (lambda: checkpoint_plan(str(path)),
+                     lambda: load_checkpoint(model, str(path))):
+            with pytest.raises(ValueError, match="re-run train") as err:
+                read()
+            assert "\n" not in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            load_checkpoint(model, str(path))
+
+    def test_tampered_meta_path_list(self, tmp_path):
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        rewrite_header(path, lambda h: h["plan"]["b"]["paths"].reverse())
+        with pytest.raises(ValueError, match="node type 'b', field 'paths'"):
+            build_model(g, cfg, plan=checkpoint_plan(str(path)))
+        with pytest.raises(ValueError, match="filter plan mismatch: node type 'b', "
+                                             "field 'paths'"):
+            load_checkpoint(model, str(path))
+
+    def test_label_on_empty_path(self, tmp_path):
+        g, cfg, _ = small_model()
+        doc = hetero_graph_to_dict(g)
+        doc["relations"].append({"name": "aa", "src": "a", "dst": "a", "edges": []})
+        g = hetero_graph_from_dict(doc)
+        model = build_model(g, cfg)
+        labels = model.plans["a"].plan.labels
+        empty = labels.index(None)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        stored = checkpoint_plan(str(path))
+        assert stored["a"]["labels"] == labels
+        assert build_model(g, cfg, plan=stored).plans["a"].plan.labels == labels
+
+        def set_label(h):
+            h["plan"]["a"]["labels"][empty] = "low"
+
+        rewrite_header(path, set_label)
+        with pytest.raises(ValueError, match="node type 'a', field 'labels'"):
+            build_model(g, cfg, plan=checkpoint_plan(str(path)))
+
+    def test_stored_plan_for_other_types_rejected(self):
+        g, cfg, model = small_model()
+        stored = plan_document(model.plans)
+        with pytest.raises(ValueError, match="node type 'c', field 'paths'"):
+            build_model(g, cfg, plan={o: d for o, d in stored.items() if o != "c"})
+        with pytest.raises(ValueError, match="unknown node type 'z'"):
+            build_model(g, cfg, plan={**stored, "z": stored["c"]})
+
+    def test_replanned_model_refuses_weights(self, tmp_path):
+        # same schema (hash included), other features: re-planning picks
+        # other filters, so the trained weights must not bind to it
+        g, cfg, model = small_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        g2 = refeatured(g, 5)
+        replanned = build_model(g2, cfg)
+        assert replanned.schema_hash == model.schema_hash
+        assert replanned.plans["a"].assigned != model.plans["a"].assigned
+        with pytest.raises(ValueError, match="filter plan mismatch: node type 'a', "
+                                             "field 'assigned'"):
+            load_checkpoint(replanned, path)
+        stored = build_model(g2, cfg, plan=checkpoint_plan(path))
+        load_checkpoint(stored, path)
+        assert stored.plans["a"].assigned == model.plans["a"].assigned
 
     def test_layout_mismatch(self, tmp_path):
         g, cfg, model = small_model()
