@@ -12,8 +12,7 @@ from .hin import (HeteroGraph, HomoGraph, MetaPath, MetaPathGraph, Relation,
                   materialize_meta_path_graph, save_hetero_graph)
 from .metrics import (MetricsRecord, auprc, auroc, compute_metrics, f1_macro,
                       pr_points, recall, roc_points)
-from .model import (ChiGadModel, ChiGnn, build_chignn, build_model,
-                    chigad_forward, chignn_forward, forward_pass,
+from .model import (ChiGadModel, build_model, chigad_forward, forward_pass,
                     load_checkpoint, save_checkpoint)
 from .spectral import (DivisionPlan, FusedFilter, SpectralProfile,
                        assign_filter, fuse_filters, graph_s_high, s_high,

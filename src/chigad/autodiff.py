@@ -11,7 +11,7 @@ closure, so the arrays they captured are freed with the last reference.  Its
 nodes also drop their reference back to it, which breaks the tape <-> node
 cycle: a finished tape, with every value and grad it holds, is freed by
 reference counting once the caller lets go, not at the next cyclic garbage
-collection.
+collection.  A tape that will run no backward is finished by release().
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Tape:
         would double-accumulate), build a fresh tape instead.
         """
         if self.finalized:
-            raise RuntimeError("backward already ran on this tape; build a fresh tape")
+            raise RuntimeError("this tape is finished; build a fresh tape")
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.ndim != 0:
@@ -48,6 +48,14 @@ class Tape:
             node.tape = None
             if node.grad is not None and backward_fn is not None:
                 backward_fn(node.grad)
+
+    def release(self) -> None:
+        """Finish the tape without a backward pass: drop every closure and
+        every node's reference to the tape, which breaks the cycle."""
+        self.finalized = True
+        for node in self.nodes:
+            node.tape = None
+            node.backward_fn = None
 
 
 class Node:
@@ -194,32 +202,24 @@ def _weighted_sum(cvals, wpow, powers) -> np.ndarray:
 
 
 def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> Node:
-    """y = sum_k c_k (w S)^k x for a fixed sparse operator S.
+    """y = sum_k c_k (w S)^k x for fixed coefficients and a fixed sparse operator S.
 
-    coeffs is either a plain float array (non-learnable) or a list of scalar
-    Nodes; meta_weight is the learnable scalar w (None means fixed 1).
-    Gradients flow to x, to w, and to learnable coeffs; never to S.  S may be
+    meta_weight is the learnable scalar w (None means fixed 1).  Gradients
+    flow to x and to w; never to S or the coefficients.  S may be
     non-symmetric: the x gradient applies its transpose.
     """
     mat = getattr(S, "matrix", S)
     if mat.shape[0] != mat.shape[1] or x.value.shape[0] != mat.shape[0]:
         raise ValueError(
             f"operator {mat.shape} does not fit signal rows {x.value.shape[0]}")
-    learnable_coeffs = isinstance(coeffs, (list, tuple)) and coeffs and isinstance(coeffs[0], Node)
-    if learnable_coeffs:
-        cvals = np.array([float(c.value) for c in coeffs])
-        parents = [x] + list(coeffs)
-    else:
-        cvals = np.asarray(coeffs, dtype=np.float64)
-        parents = [x]
+    cvals = np.asarray(coeffs, dtype=np.float64)
+    parents = [x] if meta_weight is None else [x, meta_weight]
+    tape = _tape_of(*parents)
     w = 1.0 if meta_weight is None else float(meta_weight.value)
-    if meta_weight is not None:
-        parents.append(meta_weight)
-    tape = _tape_of(*[p for p in parents if isinstance(p, Node)])
 
-    # powers[k] = S^k x is kept only when a w or coefficient gradient needs it
+    # powers[k] = S^k x is kept only when the w gradient needs it
     powers = monomial_powers(mat, x.value, len(cvals))
-    if meta_weight is not None or learnable_coeffs:
+    if meta_weight is not None:
         powers = list(powers)
     wpow = w ** np.arange(len(cvals))
     out = Node(tape, _weighted_sum(cvals, wpow, powers), "sparse_poly_apply", parents)
@@ -235,9 +235,6 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
         x.accumulate(gx)
         if meta_weight is not None:
             meta_weight.accumulate(np.asarray(_dw(cvals, w, powers, g)))
-        if learnable_coeffs:
-            for k, c in enumerate(coeffs):
-                c.accumulate(np.asarray(wpow[k] * float((g * powers[k]).sum())))
 
     out.backward_fn = backward
     return out

@@ -18,14 +18,12 @@ touches at most k-hop neighborhoods.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 FREQ_MAX = 2.0
 
@@ -54,13 +52,12 @@ def _check_index(i) -> int:
     return int(i)
 
 
-@functools.lru_cache(maxsize=None)
 def normalization_constant(i: int) -> float:
-    """Mass of the unnormalized response on [0, 2], adaptive quadrature."""
+    """Mass of the unnormalized response on [0, 2]: with u = w(i+1) it is the
+    chi-square(2i) CDF at 2(i+1) over i+1, that is P(i, i+1)/(i+1) with P the
+    regularized lower incomplete gamma function."""
     i = _check_index(i)
-    val, _ = integrate.quad(lambda w: float(_unnormalized(w, i)), 0.0, FREQ_MAX,
-                            epsabs=1e-10, epsrel=1e-10, limit=200)
-    return val
+    return float(gammainc(i, i + 1.0)) / (i + 1.0)
 
 
 def chi_response(i: int, w):
@@ -80,25 +77,31 @@ def chi_mode(i: int) -> float:
 
 
 def chi_moments(i: int) -> tuple[float, float]:
-    """(expectation, variance) of the truncated density on [0, 2]."""
+    """(expectation, variance) of the truncated density on [0, 2], closed form.
+
+    u^k times the chi-square(2i) density is 2^k i(i+1)..(i+k-1) times the
+    chi-square(2(i+k)) density, so the k-th truncated moment is a ratio of
+    regularized incomplete gamma values: E w = 2i P(i+1, i+1)/((i+1) P(i, i+1))
+    and E w^2 = 4i P(i+2, i+1)/((i+1) P(i, i+1)).
+    """
     i = _check_index(i)
-
-    def moment(k):
-        val, _ = integrate.quad(lambda w: w ** k * float(chi_response(i, w)),
-                                0.0, FREQ_MAX, epsabs=1e-8, epsrel=1e-8, limit=200)
-        return val
-
-    e = moment(1)
-    v = moment(2) - e * e
-    return e, v
+    x = i + 1.0
+    p = float(gammainc(i, x))
+    e = 2.0 * i * float(gammainc(i + 1, x)) / (x * p)
+    second = 4.0 * i * float(gammainc(i + 2, x)) / (x * p)
+    return e, second - e * e
 
 
 def admissibility_integral(i: int) -> float:
     """Quadrature value of the band-pass (admissibility) integral
     int_0^inf f_i(w)^2 / w dw over the untruncated response.
 
-    i=1 has f_1(0) > 0, so the integral diverges and is rejected.
+    i=1 has f_1(0) > 0, so the integral diverges and is rejected.  The
+    closed form checks this value, so it stays quadrature; scipy.integrate
+    is imported here, off every command's import path.
     """
+    from scipy import integrate
+
     i = _check_index(i)
     if i == 1:
         raise ValueError("filter i=1 is not admissible: the integral diverges at w=0")

@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass, field, fields
 
 ACTIVATIONS = ("relu", "tanh", "leaky_relu")
-OPERATORS = ("normalized_laplacian", "unnormalized_laplacian", "adjacency")
 FILTER_MODES = ("chi", "lowpass1")
 
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 8, 16, 32, 64, 128)
@@ -69,7 +68,6 @@ class RunConfig:
     activation: str = "relu"
     mlp_layers: int = 4
     seed: int = 0
-    operator: str = "normalized_laplacian"
     eig_cap: int = 3000
     filter_mode: str = "chi"             # lowpass1 = degree-1 low-pass ablation
     checkpoint: str = ""                 # consumed by eval
@@ -100,8 +98,6 @@ class RunConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.mlp_layers < 1:
             raise ValueError("mlp_layers must be >= 1")
-        if self.operator not in OPERATORS:
-            raise ValueError(f"operator must be one of {OPERATORS}")
         if self.eig_cap < 10:
             raise ValueError("eig_cap must be >= 10")
         if self.filter_mode not in FILTER_MODES:
@@ -120,7 +116,6 @@ class RunConfig:
             "path_max": self.path_max,
             "activation": self.activation,
             "mlp_layers": self.mlp_layers,
-            "operator": self.operator,
             "eig_cap": self.eig_cap,
             "filter_mode": self.filter_mode,
         }
@@ -135,7 +130,7 @@ def sub_seed(seed: int, name: str) -> int:
 _INT_KEYS = {"bands", "degree_budget", "aligned_dim", "path_min", "path_max",
              "epochs", "mlp_layers", "seed", "eig_cap"}
 _FLOAT_KEYS = {"w_d", "learning_rate", "weight_decay", "loss_h", "loss_l"}
-_STR_KEYS = {"graph", "activation", "operator", "filter_mode", "checkpoint"}
+_STR_KEYS = {"graph", "activation", "filter_mode", "checkpoint"}
 _SYNTH_INT = {"synth_communities": "communities"}
 _SYNTH_FLOAT = {"synth_anomaly_rate": "anomaly_rate", "synth_shift": "shift",
                 "synth_rewire": "rewire", "synth_train_frac": "train_frac",

@@ -178,8 +178,11 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     Node ordering is file order; all indices are 0-based per-type local ids.
     Raises GraphFormatError on malformed input, dangling edge endpoints,
     overlapping split masks, or masked nodes without labels, and names the
-    field for a non-integer edge or split id, a label other than 0, 1 or
-    null, a split key other than train/val/test, or a NaN or inf feature.
+    field for a missing spec field, a name that is not a string, a count or
+    feature_dim that is not a non-negative integer, a feature that is not a
+    finite number or a ragged feature row, a non-integer edge or split id, a
+    label other than 0, 1 or null, splits that are not an object, or a split
+    key other than train/val/test.
     """
     try:
         with open(path) as fh:
@@ -189,15 +192,41 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     return hetero_graph_from_dict(doc)
 
 
-def _id_array(values, what: str) -> np.ndarray:
-    """Node ids as an int64 array; any value that is not an integer is an error."""
+def _typed_array(values, what: str, kinds: str, expected: str) -> np.ndarray:
+    """values as an array of one of the numpy dtype kinds, else an error."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:   # ragged nesting
-        raise GraphFormatError(f"{what}: malformed id list") from exc
-    if arr.size and arr.dtype.kind not in "iu":
-        raise GraphFormatError(f"{what}: node ids must be integers")
-    return arr.astype(np.int64)
+        raise GraphFormatError(f"{what}: ragged nesting, expected {expected}") from exc
+    if arr.size and arr.dtype.kind not in kinds:
+        raise GraphFormatError(f"{what}: expected {expected}")
+    return arr
+
+
+def _id_array(values, what: str) -> np.ndarray:
+    """Node ids as an int64 array; any value that is not an integer is an error."""
+    return _typed_array(values, what, "iu", "integer node ids").astype(np.int64)
+
+
+def _field(spec, key: str, what: str):
+    if not isinstance(spec, dict) or key not in spec:
+        raise GraphFormatError(f"{what}: missing field '{key}'")
+    return spec[key]
+
+
+def _name(spec, key: str, what: str) -> str:
+    value = _field(spec, key, what)
+    if not isinstance(value, str):
+        raise GraphFormatError(f"{what}: '{key}' must be a string, got {value!r}")
+    return value
+
+
+def _size(spec, key: str, what: str) -> int:
+    value = _field(spec, key, what)
+    if type(value) is not int or value < 0:
+        raise GraphFormatError(f"{what}: '{key}' must be a non-negative integer, "
+                               f"got {value!r}")
+    return value
 
 
 def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
@@ -206,12 +235,14 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
             raise GraphFormatError(f"missing top-level key '{key}'")
 
     node_types, node_counts, features = [], {}, {}
-    for spec in doc["node_types"]:
-        name = spec["name"]
+    for k, spec in enumerate(doc["node_types"]):
+        name = _name(spec, "name", f"node_types[{k}]")
         if name in node_counts:
             raise GraphFormatError(f"duplicate node type '{name}'")
-        count, dim = int(spec["count"]), int(spec["feature_dim"])
-        feats = np.asarray(spec["features"], dtype=np.float64)
+        what = f"node type {name}"
+        count, dim = _size(spec, "count", what), _size(spec, "feature_dim", what)
+        feats = _typed_array(_field(spec, "features", what), f"{what}: features",
+                             "iuf", "rows of numbers").astype(np.float64)
         if feats.shape != (count, dim):
             raise GraphFormatError(
                 f"node type {name}: features shape {feats.shape} != ({count}, {dim})")
@@ -223,14 +254,15 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
 
     relations = []
     rel_names = set()
-    for spec in doc["relations"]:
-        name, src, dst = spec["name"], spec["src"], spec["dst"]
+    for k, spec in enumerate(doc["relations"]):
+        name, src, dst = (_name(spec, key, f"relations[{k}]")
+                          for key in ("name", "src", "dst"))
         if name in rel_names:
             raise GraphFormatError(f"duplicate relation '{name}'")
         rel_names.add(name)
         if src not in node_counts or dst not in node_counts:
             raise GraphFormatError(f"relation {name}: unknown endpoint type")
-        edges = spec["edges"]
+        edges = _field(spec, "edges", f"relation {name}")
         n_src, n_dst = node_counts[src], node_counts[dst]
         if edges:
             arr = _id_array(edges, f"relation {name}: edges")
@@ -253,6 +285,9 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
     labels = np.asarray(
         [LABEL_UNKNOWN if v is None else v for v in doc["labels"]], dtype=np.int64)
 
+    if not isinstance(doc["splits"], dict):
+        raise GraphFormatError("splits: expected an object mapping train, val and "
+                               "test to lists of node ids")
     unknown = sorted(set(doc["splits"]) - set(SPLITS))
     if unknown:
         raise GraphFormatError(

@@ -1,4 +1,4 @@
-"""The heterogeneous anomaly-detection network and its homogeneous variant.
+"""The heterogeneous anomaly-detection network, one build path for every graph.
 
 Three stages, built per graph:
 
@@ -17,8 +17,14 @@ Three stages, built per graph:
    follows the largest degree, not the sum of the degrees.  The target block
    feeds an MLP head with two output columns.
 
-`filter_mode = lowpass1` swaps every filter for the degree-1 low-pass
-polynomial 1 - w/2, the ablation baseline.
+Every shift operator is a normalized Laplacian: its spectrum lies in [0, 2],
+the interval the filters are fitted on.  `filter_mode = lowpass1` swaps every
+filter for the degree-1 low-pass polynomial 1 - w/2, the ablation baseline.
+
+The homogeneous variant (ChiGNN) is the same network on a graph with one node
+type n and one relation e: n -> n.  With path_min = path_max = 1 its one
+meta-path n-e-n forms a single division `all`, and the convolution runs on
+the same graph.
 
 Stage 1's filters come from a per-type spectral plan (s_high ranking, one
 profiled representative per division, the nearest Chi-Square mode).  A
@@ -37,9 +43,9 @@ import numpy as np
 from . import autodiff as ad
 from .chifilter import PolyFilter, fit_polynomial
 from .config import RunConfig, sub_seed
-from .hin import (HeteroGraph, HomoGraph, MetaPath, MetaPathGraph,
-                  ShiftOperator, degenerate_method1, enumerate_meta_paths,
-                  laplacian, materialize_meta_path_graph)
+from .hin import (HeteroGraph, MetaPath, MetaPathGraph, ShiftOperator,
+                  degenerate_method1, enumerate_meta_paths, laplacian,
+                  materialize_meta_path_graph)
 from .spectral import (DEGENERATE_DIVISION, DIVISIONS, DivisionPlan, FusedFilter,
                        SpectralProfile, assign_filter, fuse_filters,
                        profile_capped, select_representatives)
@@ -282,7 +288,7 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
                 name = f"wS[{o}][{idx}]"
                 params[name] = np.asarray(1.0)
                 entries.append(BankEntry(
-                    g, laplacian(g.adjacency, cfg.operator), fused, poly, name, division))
+                    g, laplacian(g.adjacency), fused, poly, name, division))
         banks[o] = MultiGraphFilterBank(o, entries)
         banks[o].refresh_basis(graph.features[o])
 
@@ -294,7 +300,7 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
     homo = degenerate_method1(graph)
     conv_filters = [lowpass] if ablation else [
         fit_polynomial(i, cfg.degree_budget) for i in sorted(set(cfg.candidates))]
-    conv = MetaGraphConvLayer(laplacian(homo.adjacency, cfg.operator), conv_filters)
+    conv = MetaGraphConvLayer(laplacian(homo.adjacency), conv_filters)
 
     widths = [cfg.aligned_dim] * cfg.mlp_layers + [2]
     for k in range(cfg.mlp_layers):
@@ -333,11 +339,18 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
 
 @dataclass
 class ForwardPass:
+    """One forward pass and the tape it owns.  Run any backward while the pass
+    is alive: dropping it releases a tape that ran none, so a forward-only
+    pass is freed by reference counting."""
     tape: ad.Tape
     prob: np.ndarray             # target nodes x 2
     logits: ad.Node
     rep: ad.Node                 # pre-head representation X' of the target block
     param_nodes: dict[str, ad.Node]
+
+    def __del__(self):
+        if not self.tape.finalized:
+            self.tape.release()
 
 
 def multi_graph_forward(bank: MultiGraphFilterBank, X: np.ndarray,
@@ -394,54 +407,6 @@ def chigad_forward(model: ChiGadModel, graph: HeteroGraph) -> tuple[np.ndarray, 
     """Probabilities over target nodes and the pre-head representation."""
     fp = forward_pass(model, graph)
     return fp.prob, fp.rep.value.copy()
-
-
-# ---------------------------------------------------------------------------
-# homogeneous variant
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChiGnn:
-    operator: ShiftOperator
-    filters: list[PolyFilter]
-    params: dict[str, np.ndarray]
-    activation: str
-    mlp_layers: int
-
-
-def build_chignn(graph: HomoGraph, feature_dim: int, filter_indices: list[int],
-                 hidden: int, mlp_layers: int = 2, activation: str = "relu",
-                 degree_budget: int = 3, seed: int = 0,
-                 operator: str = "normalized_laplacian",
-                 filter_mode: str = "chi") -> ChiGnn:
-    if not filter_indices:
-        raise ValueError("empty filter set")
-    if filter_mode == "lowpass1":
-        filters = [lowpass1_filter()]
-    else:
-        filters = [fit_polynomial(i, degree_budget) for i in sorted(set(filter_indices))]
-    rng = np.random.default_rng(sub_seed(seed, "chignn-init"))
-    params: dict[str, np.ndarray] = {
-        "W_in": _uniform_init(rng, feature_dim, (feature_dim, hidden))}
-    widths = [hidden] * mlp_layers + [2]
-    for k in range(mlp_layers):
-        params[f"mlp.{k}.W"] = _uniform_init(rng, widths[k], (widths[k], widths[k + 1]))
-        params[f"mlp.{k}.b"] = _uniform_init(rng, widths[k], (widths[k + 1],))
-    return ChiGnn(laplacian(graph.adjacency, operator), filters, params,
-                  activation, mlp_layers)
-
-
-def chignn_forward(net: ChiGnn, X: np.ndarray) -> tuple[np.ndarray, ForwardPass]:
-    tape = ad.Tape()
-    pnodes = {name: tape.leaf(arr, name) for name, arr in net.params.items()}
-    x = tape.leaf(np.asarray(X, dtype=np.float64), "X")
-    h0 = ad.activation(ad.matmul(x, pnodes["W_in"]), net.activation)
-    conv = ad.sparse_poly_apply(summed_coeffs(net.filters), net.operator.matrix, h0)
-    h = conv
-    for k in range(net.mlp_layers):
-        z = ad.add_bias(ad.matmul(h, pnodes[f"mlp.{k}.W"]), pnodes[f"mlp.{k}.b"])
-        h = z if k == net.mlp_layers - 1 else ad.activation(z, net.activation)
-    return softmax_rows(h.value), ForwardPass(tape, softmax_rows(h.value), h, conv, pnodes)
 
 
 # ---------------------------------------------------------------------------

@@ -230,48 +230,24 @@ def fuse_filters(assignments: dict[str, int], own_division: str,
 # achievability of the weighted-combination high-frequency bound
 # ---------------------------------------------------------------------------
 
-def theorem1_search(signals: np.ndarray, L, trials: int = 200,
-                    seed: int = 0) -> tuple[np.ndarray, float]:
-    """Search weight vectors a maximizing s_high(signals @ a).
+def theorem1_search(signals: np.ndarray, L) -> tuple[np.ndarray, float]:
+    """Weights a maximizing s_high(signals @ a) = a'X'LXa / a'X'Xa, exactly.
 
-    Random sampling seeded with the canonical basis vectors, then coordinate
-    refinement.  Serves as the constructive check that a weighted combination
-    of signals can retain at least the largest individual high-frequency area.
+    The maximum is the top eigenpair of that pencil, solved on an orthonormal
+    basis of the signals' column span (singular values below rank tolerance
+    dropped, so collinear signals work).  Serves as the constructive check
+    that a weighted combination of signals can retain at least the largest
+    individual high-frequency area.
     """
     X = np.asarray(signals, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("need at least two signal columns")
-    mat = _as_matrix(L)
-    k = X.shape[1]
-    rng = np.random.default_rng(seed)
-
-    def score(w):
-        v = X @ w
-        nrm = float(v @ v)
-        if nrm < 1e-300:
-            return -np.inf
-        return float(v @ (mat @ v)) / nrm
-
-    best_w, best = None, -np.inf
-    for w in np.vstack([np.eye(k), rng.standard_normal((trials, k))]):
-        val = score(w)
-        if val > best:
-            best_w, best = w.copy(), val
-
-    assert best_w is not None
-    step = 1.0
-    for _ in range(60):
-        improved = False
-        for j in range(k):
-            for delta in (step, -step):
-                cand = best_w.copy()
-                cand[j] += delta
-                val = score(cand)
-                if val > best + 1e-15:
-                    best_w, best = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-8:
-                break
-    return best_w, best
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    keep = sv > sv[0] * max(X.shape) * np.finfo(np.float64).eps
+    if not keep.any():
+        raise ValueError("every signal is zero")
+    Q = U[:, keep]
+    M = Q.T @ (_as_matrix(L) @ Q)
+    y = np.linalg.eigh((M + M.T) / 2.0)[1][:, -1]
+    w = Vt[keep].T @ (y / sv[keep])
+    return w, s_high(X @ w, L)

@@ -145,7 +145,7 @@ def train(model: ChiGadModel, graph: HeteroGraph, cfg: RunConfig) -> TrainRecord
         raise ValueError("train and val splits must be nonempty")
     labels = graph.labels
     target_graph = degenerate_method2(graph, graph.target_type)
-    L_t = laplacian(target_graph.adjacency, cfg.operator)
+    L_t = laplacian(target_graph.adjacency)
     cc = CcLossConfig(cfg.loss_h, cfg.loss_l)
     opt = Adam(model.params, cfg.learning_rate, weight_decay=cfg.weight_decay)
 

@@ -56,3 +56,26 @@ def tiny_hin():
 def small_cfg():
     return RunConfig(candidates=(1, 2, 3), bands=3, aligned_dim=5,
                      epochs=5, learning_rate=0.01, mlp_layers=2, seed=0)
+
+
+def make_one_type_hin(rng, n=12, dim=3, anomalies=(0, 5, 9)):
+    """The homogeneous case: one node type n and one relation e: n -> n (a
+    ring plus random chords, both directions stored), labels and three equal
+    splits on n."""
+    edges = {(u, (u + 1) % n) for u in range(n)}
+    for _ in range(n):
+        u, v = rng.choice(n, size=2, replace=False)
+        edges.add((int(u), int(v)))
+    edges |= {(v, u) for u, v in edges}
+    labels = [1 if k in anomalies else 0 for k in range(n)]
+    ids, third = list(range(n)), n // 3
+    return hetero_graph_from_dict({
+        "node_types": [{"name": "n", "count": n, "feature_dim": dim,
+                        "features": rng.normal(size=(n, dim)).tolist()}],
+        "relations": [{"name": "e", "src": "n", "dst": "n",
+                       "edges": [list(e) for e in sorted(edges)]}],
+        "target_type": "n",
+        "labels": labels,
+        "splits": {"train": ids[:third], "val": ids[third:2 * third],
+                   "test": ids[2 * third:]},
+    })

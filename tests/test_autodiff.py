@@ -201,25 +201,6 @@ class TestGradients:
 
         self.check(build, [np.asarray(0.7)])
 
-    def test_sparse_poly_learnable_coeffs(self):
-        rng = np.random.default_rng(5)
-        S = ring_operator(4)
-        X = rng.standard_normal((4, 2))
-        cvals = np.array([0.3, 1.1, -0.6])
-
-        def run(c_arr):
-            t = Tape()
-            x = t.leaf(X)
-            cs = [t.leaf(v) for v in c_arr]
-            y = sparse_poly_apply(cs, S, x)
-            return t, cs, node_sum(elementwise_mul(y, y))
-
-        t, cs, loss = run(cvals)
-        t.backward(loss)
-        numeric = fd_gradient(lambda: float(run(cvals)[2].value), cvals)
-        analytic = np.array([float(c.grad) for c in cs])
-        assert grad_mismatch(analytic, numeric) < FD_TOL
-
     def test_weighted_ce(self):
         rng = np.random.default_rng(6)
         Z = rng.standard_normal((6, 2))
@@ -307,6 +288,22 @@ class TestTapeDiscipline:
             assert np.array_equal(x.grad, 2 * np.ones((3, 2)))
             with pytest.raises(ValueError, match="finished tape"):
                 add(x, x)
+        finally:
+            gc.enable()
+
+    def test_release_frees_forward_only_tape(self):
+        gc.disable()
+        try:
+            t = Tape()
+            x = t.leaf(np.ones((3, 2)))
+            y = elementwise_mul(x, x)
+            t.release()
+            assert len(t.nodes) == 2
+            assert all(n.tape is None and n.backward_fn is None for n in t.nodes)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+            assert np.array_equal(y.value, np.ones((3, 2)))
         finally:
             gc.enable()
 

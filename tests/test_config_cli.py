@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chigad
 from chigad.cli import main
 from chigad.config import (DEFAULT_CANDIDATES, RunConfig, config_to_dict,
                            load_config, parse_config, sub_seed)
@@ -10,6 +14,7 @@ from chigad.hin import load_hetero_graph, save_hetero_graph
 from chigad.model import (CHECKPOINT_V1_MAGIC, build_model, checkpoint_plan,
                           forward_pass, load_checkpoint)
 from chigad.training import split_metrics
+from conftest import make_one_type_hin
 from test_model import refeatured, rewrite_header
 
 
@@ -73,6 +78,9 @@ class TestParsing:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="config line 2: unknown key 'lr'"):
             parse_config("bands = 3\nlr = 0.1\n")
+        # every shift operator is the normalized Laplacian: no operator key
+        with pytest.raises(ValueError, match="config line 1: unknown key 'operator'"):
+            parse_config("operator = adjacency")
 
     def test_bad_value(self):
         with pytest.raises(ValueError, match="line 1: bad value for 'bands'"):
@@ -291,6 +299,24 @@ class TestCliGraphCommands:
         assert (out / "eval_metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
         assert (out / "eval_roc.csv").read_bytes() == (out / "roc.csv").read_bytes()
 
+    def test_one_node_type_train_then_eval(self, tmp_path):
+        # the homogeneous variant (ChiGNN) through the same commands
+        graph = make_one_type_hin(np.random.default_rng(6), n=30,
+                                  anomalies=(0, 5, 12, 17, 24, 28))
+        gpath = str(tmp_path / "homo.json")
+        save_hetero_graph(graph, gpath)
+        cfg = write_cfg(tmp_path / "h.cfg", [f"graph = {gpath}", "path_min = 1",
+                                             "path_max = 1"] + SMALL_TRAIN)
+        out = tmp_path / "run"
+        assert main(["metapaths", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "metapaths.json").read_text())
+        assert [e["node_type"] for e in report] == ["n"]
+        assert [(p["path"], p["division"]) for p in report[0]["paths"]] == [("n-e-n", "all")]
+        assert [d["division"] for d in report[0]["divisions"]] == ["all"]
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "eval_metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
     def test_eval_explicit_checkpoint_key(self, tmp_path):
         gpath = self.synth_graph(tmp_path)
         run = tmp_path / "run"
@@ -338,3 +364,16 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path / "c.cfg", [f"graph = {gpath}"] + SMALL_TRAIN)
         self.check_error(capsys, ["eval", "--config", cfg,
                                   "--out", str(tmp_path / "fresh")], "error:")
+
+
+class TestCliImport:
+    def test_no_quadrature_or_stats_on_import(self):
+        # every command pays the import; quadrature and scipy.stats stay off it
+        src = os.path.dirname(os.path.dirname(chigad.__file__))
+        code = ("import sys, chigad.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') "
+                "if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"

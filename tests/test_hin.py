@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,50 @@ class TestStrictIngestion:
         doc = paper_schema_doc()
         doc["node_types"][1]["features"][1][0] = value
         with pytest.raises(GraphFormatError, match="node type P: features contain NaN or inf"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("row", [["x", 0], [1, None], [1], [1, [0]]])
+    def test_feature_row_not_numbers(self, row):
+        doc = paper_schema_doc()
+        doc["node_types"][0]["features"][1] = row
+        with pytest.raises(GraphFormatError, match="node type A: features"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["count", "feature_dim"])
+    @pytest.mark.parametrize("value", ["six", 6.7, 3.0, -1, True, None])
+    def test_size_not_a_count(self, key, value):
+        doc = paper_schema_doc()
+        doc["node_types"][0][key] = value
+        with pytest.raises(GraphFormatError, match=f"node type A: '{key}'"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("splits", [["train", "val"], [[0, 1]], "train"])
+    def test_splits_not_an_object(self, splits):
+        doc = paper_schema_doc()
+        doc["splits"] = splits
+        with pytest.raises(GraphFormatError, match="splits: expected an object"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("section, index, key, where", [
+        ("node_types", 1, "name", "node_types[1]"),
+        ("node_types", 1, "features", "node type P"),
+        ("relations", 1, "name", "relations[1]"),
+        ("relations", 0, "dst", "relations[0]"),
+        ("relations", 1, "edges", "relation composed_by"),
+    ], ids=["type-name", "type-features", "relation-name", "relation-dst",
+            "relation-edges"])
+    def test_missing_spec_field(self, section, index, key, where):
+        doc = paper_schema_doc()
+        del doc[section][index][key]
+        with pytest.raises(GraphFormatError,
+                           match=re.escape(f"{where}: missing field '{key}'")):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("name", [["A"], 3, None])
+    def test_name_not_a_string(self, name):
+        doc = paper_schema_doc()
+        doc["relations"][0]["src"] = name
+        with pytest.raises(GraphFormatError, match=r"relations\[0\]: 'src' must be a string"):
             hetero_graph_from_dict(doc)
 
     def test_valid_values_still_load(self):

@@ -4,21 +4,18 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from chigad import autodiff as ad
 from chigad.chifilter import PolyFilter, fit_polynomial
 from chigad.config import RunConfig, sub_seed
-from chigad.hin import (HomoGraph, ShiftOperator, hetero_graph_from_dict,
-                        hetero_graph_to_dict)
-from chigad.model import (CHECKPOINT_V1_MAGIC, build_chignn, build_model,
-                          chigad_forward, chignn_forward, checkpoint_plan,
-                          forward_pass, graph_signature, load_checkpoint,
-                          lowpass1_filter, multi_graph_forward, plan_document,
-                          plan_type, save_checkpoint, softmax_rows)
+from chigad.hin import ShiftOperator, hetero_graph_from_dict, hetero_graph_to_dict
+from chigad.model import (CHECKPOINT_V1_MAGIC, build_model, chigad_forward,
+                          checkpoint_plan, forward_pass, graph_signature,
+                          load_checkpoint, multi_graph_forward, plan_document,
+                          plan_type, save_checkpoint, softmax_rows, summed_coeffs)
 from chigad.synthetic import generate_synthetic_hin
 from chigad.training import train
-from conftest import make_hin
+from conftest import make_hin, make_one_type_hin
 from oracles import dense_poly_apply
 from test_acceptance import BENCH_SPEC, bench_config
 
@@ -45,6 +42,16 @@ def small_model(rng_seed=42, **cfg_kw):
     rng = np.random.default_rng(rng_seed)
     g = make_hin(rng, extra_relation=True)
     kw = dict(candidates=(1, 2, 3), bands=3, aligned_dim=5, mlp_layers=2, seed=0)
+    kw.update(cfg_kw)
+    cfg = RunConfig(**kw)
+    return g, cfg, build_model(g, cfg)
+
+
+def one_type_model(rng_seed=3, **cfg_kw):
+    """The homogeneous variant: build_model on a one-type graph, path length 1."""
+    g = make_one_type_hin(np.random.default_rng(rng_seed))
+    kw = dict(candidates=(1, 2), bands=3, aligned_dim=4, mlp_layers=2,
+              path_min=1, path_max=1, seed=1)
     kw.update(cfg_kw)
     cfg = RunConfig(**kw)
     return g, cfg, build_model(g, cfg)
@@ -131,15 +138,16 @@ class TestBuild:
         assert np.array_equal(model.conv.coeffs, want)
 
     def test_lowpass_ablation(self):
-        g, cfg, _ = small_model()
-        cfg2 = RunConfig(candidates=cfg.candidates, bands=3, aligned_dim=5,
-                         mlp_layers=2, seed=0, filter_mode="lowpass1")
-        model = build_model(g, cfg2)
-        assert len(model.conv.filters) == 1
-        assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
-        for bank in model.banks.values():
-            for e in bank.entries:
-                assert e.poly.coeffs.tolist() == [1.0, -0.5]
+        # on a heterogeneous graph and on the one-type (ChiGNN) case
+        for make in (small_model, one_type_model):
+            _, _, model = make(filter_mode="lowpass1")
+            assert len(model.conv.filters) == 1
+            assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
+            assert model.conv.coeffs.tolist() == [1.0, -0.5]
+            assert any(bank.entries for bank in model.banks.values())
+            for bank in model.banks.values():
+                for e in bank.entries:
+                    assert e.poly.coeffs.tolist() == [1.0, -0.5]
 
 
 class TestForward:
@@ -303,6 +311,21 @@ class TestTapeLifetime:
             ref = weakref.ref(fp.tape)
             del fp
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_forward_only_pass_freed_without_cyclic_gc(self):
+        g, cfg, model = small_model()
+        gc.disable()
+        try:
+            fp = forward_pass(model, g)
+            logits = fp.logits
+            ref = weakref.ref(fp.tape)
+            del fp
+            assert ref() is None
+            assert logits.tape is None and logits.backward_fn is None
+            with pytest.raises(ValueError, match="finished tape"):
+                ad.add(logits, logits)
         finally:
             gc.enable()
 
@@ -479,44 +502,40 @@ class TestSignature:
 
 
 class TestChiGnn:
-    def homo(self, n=8, seed=3):
-        rng = np.random.default_rng(seed)
-        a = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
-        for k in range(n - 1):
-            a[k, k + 1] = 1.0
-        return HomoGraph(sp.csr_matrix(a + a.T))
+    """The homogeneous variant is build_model on a graph with one node type."""
 
     def test_build_and_forward(self):
-        g = self.homo()
-        net = build_chignn(g, feature_dim=3, filter_indices=[2, 1, 2],
-                           hidden=4, mlp_layers=2, seed=1)
-        assert net.params["W_in"].shape == (3, 4)
-        assert [f.degree for f in net.filters] == [1 - 1 + 3, 2 - 1 + 3]
-        X = np.random.default_rng(2).standard_normal((8, 3))
-        prob, fp = chignn_forward(net, X)
-        assert prob.shape == (8, 2)
+        g, cfg, model = one_type_model()
+        tp = model.plans["n"]
+        assert [str(p) for p in tp.paths] == ["n-e-n"]
+        assert tp.plan.degenerate and tp.plan.labels == ["all"]
+        assert [e.division for e in model.banks["n"].entries] == ["all"]
+        assert model.conv.operator.dim == g.node_counts["n"]
+        assert [f.degree for f in model.conv.filters] == [1 - 1 + 3, 2 - 1 + 3]
+        prob, rep = chigad_forward(model, g)
+        assert prob.shape == (12, 2) and rep.shape == (12, 4)
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
 
     def test_identity_filter_reduces_to_mlp(self):
-        g = self.homo()
-        net = build_chignn(g, feature_dim=3, filter_indices=[1], hidden=4,
-                           mlp_layers=1, seed=5)
-        net.filters = [PolyFilter(np.array([1.0]), 0, 0.0)]
-        X = np.random.default_rng(4).standard_normal((8, 3))
-        prob, _ = chignn_forward(net, X)
-        h = np.maximum(X @ net.params["W_in"], 0.0)
-        logits = h @ net.params["mlp.0.W"] + net.params["mlp.0.b"]
-        assert np.allclose(prob, softmax_rows(logits), atol=1e-12)
-
-    def test_lowpass_mode(self):
-        net = build_chignn(self.homo(), feature_dim=2, filter_indices=[4, 8],
-                           hidden=3, filter_mode="lowpass1")
-        assert len(net.filters) == 1
-        assert net.filters[0].coeffs.tolist() == [1.0, -0.5]
+        g, cfg, model = one_type_model()
+        rng = np.random.default_rng(4)
+        for name in model.params:
+            model.params[name] = rng.standard_normal(model.params[name].shape)
+        bank = model.banks["n"]
+        for e in bank.entries:
+            e.poly = PolyFilter(np.array([1.0]), 0, 0.0)
+        bank.features = None            # recache the powers for the new degree
+        model.conv.coeffs = np.array([1.0])
+        prob, _ = chigad_forward(model, g)
+        p = model.params
+        h = np.maximum(g.features["n"] @ p["W_align[n]"], 0.0)
+        h = np.maximum(h @ p["mlp.0.W"] + p["mlp.0.b"], 0.0)
+        logits = h @ p["mlp.1.W"] + p["mlp.1.b"]
+        assert np.allclose(prob, softmax_rows(logits), rtol=0.0, atol=1e-12)
 
     def test_empty_filter_set(self):
         with pytest.raises(ValueError, match="empty filter set"):
-            build_chignn(self.homo(), feature_dim=2, filter_indices=[], hidden=3)
+            summed_coeffs([])
 
 
 @pytest.fixture(scope="module")

@@ -350,7 +350,7 @@ class TestTheorem1:
             L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
             k = int(rng.integers(2, 5))
             X = rng.standard_normal((n, k))
-            w, achieved = theorem1_search(X, L, trials=100, seed=trial)
+            w, achieved = theorem1_search(X, L)
             best_single = max(s_high(X[:, j], L) for j in range(k))
             assert achieved >= best_single - 1e-12, f"trial {trial}"
             assert achieved == pytest.approx(s_high(X @ w, L), rel=1e-12)
@@ -361,9 +361,22 @@ class TestTheorem1:
         L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
         eigs, U = np.linalg.eigh(L.matrix.toarray())
         X = U[:, [2, 6]]
-        _, achieved = theorem1_search(X, L, trials=50, seed=0)
+        _, achieved = theorem1_search(X, L)
         # combinations of two eigenvectors span Rayleigh values [eig2, eig6]
         assert achieved == pytest.approx(eigs[6], abs=1e-6)
+
+    def test_collinear_signals(self):
+        # a repeated and a zero column leave the span, and so the optimum, as is
+        rng = np.random.default_rng(34)
+        g = random_graph(rng, 9)
+        L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
+        X = rng.standard_normal((9, 2))
+        padded = np.column_stack([X[:, 0], 2.0 * X[:, 0], np.zeros(9), X[:, 1]])
+        w, achieved = theorem1_search(padded, L)
+        assert np.all(np.isfinite(w))
+        assert achieved == pytest.approx(theorem1_search(X, L)[1], rel=1e-12)
+        with pytest.raises(ValueError, match="every signal is zero"):
+            theorem1_search(np.zeros((9, 2)), L)
 
     def test_needs_two_columns(self):
         L = laplacian(edge_graph().adjacency, NORMALIZED_LAPLACIAN)
