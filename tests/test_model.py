@@ -138,16 +138,14 @@ class TestBuild:
         assert np.array_equal(model.conv.coeffs, want)
 
     def test_lowpass_ablation(self):
-        # on a heterogeneous graph and on the one-type (ChiGNN) case
-        for make in (small_model, one_type_model):
-            _, _, model = make(filter_mode="lowpass1")
-            assert len(model.conv.filters) == 1
-            assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
-            assert model.conv.coeffs.tolist() == [1.0, -0.5]
-            assert any(bank.entries for bank in model.banks.values())
-            for bank in model.banks.values():
-                for e in bank.entries:
-                    assert e.poly.coeffs.tolist() == [1.0, -0.5]
+        _, _, model = small_model(filter_mode="lowpass1")
+        assert len(model.conv.filters) == 1
+        assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
+        assert model.conv.coeffs.tolist() == [1.0, -0.5]
+        assert any(bank.entries for bank in model.banks.values())
+        for bank in model.banks.values():
+            for e in bank.entries:
+                assert e.poly.coeffs.tolist() == [1.0, -0.5]
 
 
 class TestForward:
@@ -532,6 +530,14 @@ class TestChiGnn:
         h = np.maximum(h @ p["mlp.0.W"] + p["mlp.0.b"], 0.0)
         logits = h @ p["mlp.1.W"] + p["mlp.1.b"]
         assert np.allclose(prob, softmax_rows(logits), rtol=0.0, atol=1e-12)
+
+    def test_lowpass_mode(self):
+        _, _, model = one_type_model(filter_mode="lowpass1")
+        assert len(model.conv.filters) == 1
+        assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
+        assert model.conv.coeffs.tolist() == [1.0, -0.5]
+        assert [e.poly.coeffs.tolist() for e in model.banks["n"].entries] \
+            == [[1.0, -0.5]]
 
     def test_empty_filter_set(self):
         with pytest.raises(ValueError, match="empty filter set"):
