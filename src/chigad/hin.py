@@ -178,11 +178,12 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     Node ordering is file order; all indices are 0-based per-type local ids.
     Raises GraphFormatError on malformed input, dangling edge endpoints,
     overlapping split masks, or masked nodes without labels, and names the
-    field for a missing spec field, a name that is not a string, a count or
-    feature_dim that is not a non-negative integer, a feature that is not a
-    finite number or a ragged feature row, a non-integer edge or split id, a
-    label other than 0, 1 or null, splits that are not an object, or a split
-    key other than train/val/test.
+    field for a missing spec field, a name or target_type that is not a
+    string, a count or feature_dim that is not a non-negative integer, a
+    feature that is not a finite number or a ragged feature row, a
+    non-integer edge or split id, labels that are not a list, a label other
+    than 0, 1 or null, splits that are not an object, or a split key other
+    than train/val/test.
     """
     try:
         with open(path) as fh:
@@ -276,9 +277,12 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
             adj = sp.csr_matrix((n_src, n_dst))
         relations.append(Relation(name, src, dst, _binarize(adj)))
 
-    target = doc["target_type"]
+    target = _name(doc, "target_type", "graph")
     if target not in node_counts:
         raise GraphFormatError(f"target type '{target}' not among node types")
+    if not isinstance(doc["labels"], list):
+        raise GraphFormatError(f"labels: expected a list of 0, 1 or null, "
+                               f"got {doc['labels']!r}")
     for k, v in enumerate(doc["labels"]):
         if not (v is None or (type(v) is int and v in (LABEL_BENIGN, LABEL_ANOMALY))):
             raise GraphFormatError(f"labels[{k}]: {v!r} is not 0, 1 or null")
@@ -348,6 +352,9 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     Layout: meta.json (node_types order, relations with src/dst, target_type),
     nodes_<type>.csv (feature columns; label column on the target type, empty
     cell = unlabeled), edges_<relation>.csv (u,v rows), splits.csv (id,split).
+    A cell that does not parse as a number (feature) or an integer (label,
+    edge endpoint, split id) and a meta.json entry missing a field raise a
+    GraphFormatError naming the file and the field.
     """
     meta_path = os.path.join(directory, "meta.json")
     try:
@@ -356,36 +363,53 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     except (OSError, json.JSONDecodeError) as exc:
         raise GraphFormatError(f"cannot read {meta_path}: {exc}") from exc
 
-    doc: dict = {"node_types": [], "relations": [], "target_type": meta["target_type"]}
+    target = _field(meta, "target_type", meta_path)
+    doc: dict = {"node_types": [], "relations": [], "target_type": target}
     labels = []
-    for name in meta["node_types"]:
-        rows = _read_csv(os.path.join(directory, f"nodes_{name}.csv"))
+    for name in _field(meta, "node_types", meta_path):
+        path = os.path.join(directory, f"nodes_{name}.csv")
+        rows = _read_csv(path)
         header, body = rows[0], rows[1:]
         has_label = header and header[-1] == "label"
         feat_cols = len(header) - (1 if has_label else 0)
-        feats = [[float(c) for c in row[:feat_cols]] for row in body]
-        if has_label and name == meta["target_type"]:
-            labels = [None if row[-1] == "" else int(row[-1]) for row in body]
+        feats = [_cells(row[:feat_cols], float, path, k, "feature")
+                 for k, row in enumerate(body, 2)]
+        if has_label and name == target:
+            labels = [None if row[-1] == ""
+                      else _cells(row[-1:], int, path, k, "label")[0]
+                      for k, row in enumerate(body, 2)]
         doc["node_types"].append(
             {"name": name, "count": len(body), "feature_dim": feat_cols, "features": feats})
     if not labels:
         raise GraphFormatError("target-type node file must carry a label column")
     doc["labels"] = labels
 
-    for rel in meta["relations"]:
-        rows = _read_csv(os.path.join(directory, f"edges_{rel['name']}.csv"))
-        edges = [[int(r[0]), int(r[1])] for r in rows[1:]]
-        doc["relations"].append(
-            {"name": rel["name"], "src": rel["src"], "dst": rel["dst"], "edges": edges})
+    for k, rel in enumerate(_field(meta, "relations", meta_path)):
+        name, src, dst = (_field(rel, key, f"{meta_path}: relations[{k}]")
+                          for key in ("name", "src", "dst"))
+        path = os.path.join(directory, f"edges_{name}.csv")
+        edges = [_cells(r[:2], int, path, i, "edge")
+                 for i, r in enumerate(_read_csv(path)[1:], 2)]
+        doc["relations"].append({"name": name, "src": src, "dst": dst, "edges": edges})
 
     splits: dict[str, list[int]] = {name: [] for name in SPLITS}
-    for row in _read_csv(os.path.join(directory, "splits.csv"))[1:]:
-        nid, split = int(row[0]), row[1]
+    path = os.path.join(directory, "splits.csv")
+    for k, row in enumerate(_read_csv(path)[1:], 2):
+        nid, split = _cells(row[:1], int, path, k, "id")[0], row[1]
         if split not in splits:
             raise GraphFormatError(f"unknown split name '{split}'")
         splits[split].append(nid)
     doc["splits"] = splits
     return hetero_graph_from_dict(doc)
+
+
+def _cells(cells: list[str], convert, path: str, row: int, field: str) -> list:
+    """CSV cells through int or float; a cell that does not convert is a
+    GraphFormatError naming the file, row (header = 1) and field."""
+    try:
+        return [convert(c) for c in cells]
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: row {row}: {field}: {exc}") from exc
 
 
 def _read_csv(path: str) -> list[list[str]]:

@@ -2,14 +2,18 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: schema walks by explicit DFS, reachability by frontier expansion,
-ranking metrics by all-pairs comparison and threshold sweeps, polynomial
-operator application by dense matrix powers, gradients by central finite
-differences.
+connected components by breadth-first search, spectral profiles by one dense
+eigendecomposition of the whole Laplacian, ranking metrics by all-pairs
+comparison and threshold sweeps, polynomial operator application by dense
+matrix powers, gradients by central finite differences.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+import scipy.sparse as sp
 
 
 def dfs_meta_paths(relations, anchor, min_len, max_len):
@@ -45,6 +49,49 @@ def walk_pairs(blocks, counts, type_seq):
         for v in frontier:
             pairs.add((u, int(v)))
     return pairs
+
+
+def bfs_components(adjacency):
+    """Component id of each node by breadth-first search from each unseen node."""
+    neighbors = sp.lil_matrix(adjacency).rows
+    comp = [-1] * len(neighbors)
+    for root in range(len(neighbors)):
+        if comp[root] >= 0:
+            continue
+        comp[root] = root
+        queue = deque([root])
+        while queue:
+            for v in neighbors[queue.popleft()]:
+                if comp[v] < 0:
+                    comp[v] = root
+                    queue.append(v)
+    return comp
+
+
+def same_partition(labels_a, labels_b):
+    """Whether two labelings group the nodes identically."""
+    pairs = set(zip(labels_a, labels_b))
+    return len(pairs) == len(set(labels_a)) == len(set(labels_b))
+
+
+def dense_profile(adjacency, signal, K):
+    """Eigenvalues, energies, band energies and band_max from one dense eigh.
+
+    L = I - D^{-1/2} A D^{-1/2} with identity rows at zero degree; bands are K
+    equal-count slices of the sorted spectrum, the remainder in the last.
+    """
+    a = np.asarray(adjacency.todense(), dtype=np.float64)
+    deg = a.sum(axis=1)
+    inv = np.array([1.0 / np.sqrt(d) if d > 0 else 0.0 for d in deg])
+    L = np.eye(len(a)) - inv[:, None] * a * inv[None, :]
+    eigenvalues, U = np.linalg.eigh(L)
+    energies = (U.T @ np.asarray(signal, dtype=np.float64)) ** 2
+    n, base = len(a), len(a) // K
+    edges = [k * base for k in range(K)] + [n]
+    bands = np.array([energies[edges[k]:edges[k + 1]].sum() for k in range(K)])
+    top = int(np.argmax(bands))
+    band_max = float(np.median(eigenvalues[edges[top]:edges[top + 1]]))
+    return eigenvalues, energies, edges, bands, band_max
 
 
 def auroc_all_pairs(scores, labels):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chigad
+from chigad import spectral
 from chigad.cli import main
 from chigad.config import (DEFAULT_CANDIDATES, RunConfig, config_to_dict,
                            load_config, parse_config, sub_seed)
@@ -229,13 +230,14 @@ class TestCliGraphCommands:
         gpath = self.synth_graph(tmp_path)
         cfg = write_cfg(tmp_path / "a.cfg", [f"graph = {gpath}", "candidates = 1, 2",
                                              "bands = 3"])
-        real, calls = np.linalg.eigh, []
+        # a profile makes one eigh per connected component, so count profiles
+        real, calls = spectral.spectral_profile, []
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[0].num_nodes)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("numpy.linalg.eigh", counted)
+        monkeypatch.setattr("chigad.spectral.spectral_profile", counted)
         out = tmp_path / "out"
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "analyze.json").read_text())
@@ -368,12 +370,22 @@ class TestCliErrors:
 
 class TestCliImport:
     def test_no_quadrature_or_stats_on_import(self):
-        # every command pays the import; quadrature and scipy.stats stay off it
+        # every command pays the import; quadrature and scipy.stats stay off
+        # it, and planning loads neither scipy.sparse.csgraph nor scipy.linalg
         src = os.path.dirname(os.path.dirname(chigad.__file__))
-        code = ("import sys, chigad.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') "
-                "if m in sys.modules))")
+        code = (
+            "import sys, chigad.cli\n"
+            "heavy = ('scipy.integrate', 'scipy.stats', 'scipy.sparse.csgraph', "
+            "'scipy.linalg')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "from chigad import RunConfig, SyntheticSpec, generate_synthetic_hin\n"
+            "from chigad.model import plan_type\n"
+            "g = generate_synthetic_hin(SyntheticSpec(sizes=(40, 10, 10), "
+            "feature_dims=(3, 3, 3)), 0)\n"
+            "tp = plan_type(g, g.target_type, RunConfig(candidates=(1, 3), bands=3))\n"
+            "assert tp.profiles\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "[]"]

@@ -197,6 +197,20 @@ class TestStrictIngestion:
         with pytest.raises(GraphFormatError, match=r"relations\[0\]: 'src' must be a string"):
             hetero_graph_from_dict(doc)
 
+    @pytest.mark.parametrize("labels", [5, None, "0"])
+    def test_labels_not_a_list(self, labels):
+        doc = paper_schema_doc()
+        doc["labels"] = labels
+        with pytest.raises(GraphFormatError, match="labels: expected a list"):
+            hetero_graph_from_dict(doc)
+
+    @pytest.mark.parametrize("target", [["x"], 3, None])
+    def test_target_type_not_a_string(self, target):
+        doc = paper_schema_doc()
+        doc["target_type"] = target
+        with pytest.raises(GraphFormatError, match="'target_type' must be a string"):
+            hetero_graph_from_dict(doc)
+
     def test_valid_values_still_load(self):
         doc = paper_schema_doc()
         doc["labels"][1] = None
@@ -230,15 +244,36 @@ class TestCsvLoading:
         for t in g_json.node_types:
             assert np.allclose(g_csv.features[t], g_json.features[t])
 
+    @staticmethod
+    def write_one_type(directory, **replace):
+        files = {
+            "meta.json": json.dumps({"node_types": ["A"], "relations": [
+                {"name": "aa", "src": "A", "dst": "A"}], "target_type": "A"}),
+            "nodes_A.csv": "f0,label\n1,0\n2,\n3,1\n",
+            "edges_aa.csv": "u,v\n0,1\n",
+            "splits.csv": "id,split\n0,train\n2,val\n",
+        }
+        for name, text in {**files, **replace}.items():
+            (directory / name).write_text(text)
+        return str(directory)
+
     def test_unlabeled_cell(self, tmp_path):
-        (tmp_path / "meta.json").write_text(json.dumps(
-            {"node_types": ["A"], "relations": [
-                {"name": "aa", "src": "A", "dst": "A"}], "target_type": "A"}))
-        (tmp_path / "nodes_A.csv").write_text("f0,label\n1,0\n2,\n3,1\n")
-        (tmp_path / "edges_aa.csv").write_text("u,v\n0,1\n")
-        (tmp_path / "splits.csv").write_text("id,split\n0,train\n2,val\n")
-        g = load_hetero_graph_csv(str(tmp_path))
+        g = load_hetero_graph_csv(self.write_one_type(tmp_path))
         assert g.labels.tolist() == [0, -1, 1]
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("nodes_A.csv", "f0,label\n1,0\nx,\n3,1\n", "nodes_A.csv: row 3: feature"),
+        ("nodes_A.csv", "f0,label\n1,0\n2,yes\n3,1\n", "nodes_A.csv: row 3: label"),
+        ("edges_aa.csv", "u,v\n0,1\none,2\n", "edges_aa.csv: row 3: edge"),
+        ("splits.csv", "id,split\nz,train\n", "splits.csv: row 2: id"),
+        ("meta.json", json.dumps({"node_types": ["A"], "relations": [
+            {"name": "aa", "src": "A"}], "target_type": "A"}),
+         "meta.json: relations[0]: missing field 'dst'"),
+    ], ids=["feature", "label", "edge", "split-id", "relation-dst"])
+    def test_malformed_cell_names_file_and_field(self, tmp_path, name, text, where):
+        directory = self.write_one_type(tmp_path, **{name: text})
+        with pytest.raises(GraphFormatError, match=re.escape(where)):
+            load_hetero_graph_csv(directory)
 
 
 class TestEnumeration:

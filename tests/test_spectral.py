@@ -5,10 +5,10 @@ import scipy.sparse as sp
 from chigad.chifilter import chi_mode, chi_response
 from chigad.hin import NORMALIZED_LAPLACIAN, MetaPathGraph, laplacian
 from chigad.spectral import (DEGENERATE_DIVISION, DIVISIONS, assign_filter,
-                             fuse_filters, graph_s_high, profile_capped,
-                             s_high, select_representatives, spectral_profile,
-                             subsample_graph, theorem1_search)
-from oracles import chi2_density
+                             connected_components, fuse_filters, graph_s_high,
+                             profile_capped, s_high, select_representatives,
+                             spectral_profile, subsample_graph, theorem1_search)
+from oracles import bfs_components, chi2_density, dense_profile, same_partition
 
 
 def edge_graph():
@@ -30,6 +30,105 @@ def random_graph(rng, n, p=0.4):
         a[k, k + 1] = 1.0
     a = a + a.T
     return MetaPathGraph("a", sp.csr_matrix(a), None)
+
+
+def sparse_graph(rng, n, p):
+    """Random undirected graph without the connecting spine: many components."""
+    a = sp.triu(sp.random(n, n, density=p, random_state=rng), 1)
+    a.data[:] = 1.0
+    return sp.csr_matrix(a + a.T)
+
+
+def shuffled_path(rng, n):
+    perm = rng.permutation(n)
+    u, v = perm[:-1], perm[1:]
+    return sp.csr_matrix((np.ones(2 * (n - 1)), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+
+
+def disconnected_graph(rng):
+    """Random blocks of 2 to 12 nodes, some with a dangling tail, plus five
+    isolated nodes, under a shuffled node order."""
+    blocks = [random_graph(rng, int(m), p=0.3).adjacency
+              for m in rng.integers(2, 13, size=6)]
+    a = sp.block_diag(blocks + [sp.csr_matrix((5, 5))], format="csr")
+    perm = rng.permutation(a.shape[0])
+    return MetaPathGraph("a", sp.csr_matrix(a[perm][:, perm]), None)
+
+
+class TestComponents:
+    def check(self, adjacency):
+        labels = connected_components(adjacency)
+        oracle = bfs_components(adjacency)
+        assert same_partition(labels.tolist(), oracle)
+        # numbered 0, 1, ... in order of each component's smallest node
+        firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(labels.max() + 1)]
+        assert firsts == sorted(firsts)
+        return labels
+
+    def test_empty_graphs(self):
+        assert connected_components(sp.csr_matrix((0, 0))).tolist() == []
+        assert self.check(sp.csr_matrix((6, 6))).tolist() == list(range(6))
+
+    def test_isolated_nodes(self):
+        a = sp.lil_matrix((7, 7))
+        for u, v in ((1, 4), (4, 6), (2, 5)):
+            a[u, v] = a[v, u] = 1.0
+        assert self.check(sp.csr_matrix(a)).tolist() == [0, 1, 2, 3, 1, 2, 1]
+
+    def test_random_sparse(self):
+        rng = np.random.default_rng(4)
+        for n, p in ((1, 0.5), (20, 0.05), (60, 0.02), (200, 0.005), (300, 0.01)):
+            self.check(sparse_graph(rng, n, p))
+
+    def test_shuffled_path(self):
+        labels = self.check(shuffled_path(np.random.default_rng(8), 3000))
+        assert not labels.any()
+
+
+def assert_matches_dense(graph, X, K):
+    """The profile against the dense-eigh oracle: eigenvalues, energy per
+    distinct eigenvalue, band energies where no band edge cuts a repeated
+    eigenvalue, and band_max."""
+    prof = spectral_profile(graph, X, K)
+    eigs, energies, edges, bands, band_max = dense_profile(
+        graph.adjacency, X.sum(axis=1), K)
+    assert np.max(np.abs(prof.eigenvalues - eigs)) <= 1e-12
+    total = energies.sum()
+    # clusters of numerically equal eigenvalues; their energy is basis-free
+    cluster = np.concatenate(([0], np.cumsum(np.diff(eigs) > 1e-8)))
+    assert np.max(np.abs(np.bincount(cluster, prof.energies)
+                         - np.bincount(cluster, energies))) <= 1e-10 * total
+    clean = [e in (0, len(eigs)) or cluster[e] != cluster[e - 1] for e in edges]
+    checked = [k for k in range(K) if clean[k] and clean[k + 1]]
+    assert checked
+    assert np.max(np.abs(prof.band_energies[checked] - bands[checked])) <= 1e-10
+    assert abs(prof.band_max - band_max) <= 1e-12
+    return prof
+
+
+class TestProfileExact:
+    def test_connected_matches_dense(self):
+        rng = np.random.default_rng(12)
+        g = random_graph(rng, 40, p=0.1)
+        assert connected_components(g.adjacency).max() == 0
+        assert_matches_dense(g, rng.standard_normal((40, 3)), K=5)
+
+    def test_one_component_is_one_dense_eigh(self):
+        rng = np.random.default_rng(13)
+        g = random_graph(rng, 30, p=0.2)
+        X = rng.standard_normal((30, 2))
+        prof = spectral_profile(g, X, K=4)
+        eigs, U = np.linalg.eigh(
+            laplacian(g.adjacency, NORMALIZED_LAPLACIAN).matrix.toarray())
+        assert np.array_equal(prof.eigenvalues, eigs)
+        assert np.array_equal(prof.fourier_coeffs, U.T @ X.sum(axis=1))
+
+    def test_disconnected_with_isolated_nodes_matches_dense(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            g = disconnected_graph(rng)
+            assert connected_components(g.adjacency).max() >= 6
+            assert_matches_dense(g, rng.standard_normal((g.num_nodes, 3)), K=3)
 
 
 class TestSHigh:
