@@ -19,8 +19,7 @@ import argparse
 import numpy as np
 
 from chigad.config import SyntheticSpec
-from chigad.hin import NORMALIZED_LAPLACIAN, enumerate_meta_paths, laplacian, \
-    materialize_meta_path_graph
+from chigad.hin import enumerate_meta_paths, laplacian, materialize_meta_path_graph
 from chigad.spectral import assign_filter, s_high, spectral_profile
 from chigad.synthetic import generate_synthetic_hin
 
@@ -54,8 +53,8 @@ def main():
     mg = materialize_meta_path_graph(g, path)
     print(f"meta-path graph {path}: {mg.adjacency.nnz} edges\n")
 
-    L = laplacian(mg.adjacency, NORMALIZED_LAPLACIAN)
-    top = np.linalg.eigh(L.matrix.toarray())[1][:, -1]
+    L = laplacian(mg.adjacency)
+    top = np.linalg.eigh(L.toarray())[1][:, -1]
 
     probe("constant", np.ones(n), mg, L)
     probe("anomaly indicator", labels, mg, L)

@@ -5,11 +5,11 @@ from .chifilter import (admissibility_closed_form, admissibility_integral,
                         fit_grid_polynomial, fit_polynomial,
                         normalization_constant, PolyFilter)
 from .config import RunConfig, SyntheticSpec, load_config, parse_config, sub_seed
-from .hin import (HeteroGraph, HomoGraph, MetaPath, MetaPathGraph, Relation,
-                  ShiftOperator, degenerate_method1, degenerate_method2,
-                  enumerate_meta_paths, hetero_graph_from_dict, laplacian,
-                  load_hetero_graph, load_hetero_graph_csv,
-                  materialize_meta_path_graph, save_hetero_graph)
+from .hin import (HeteroGraph, MetaPath, MetaPathGraph, Relation,
+                  degenerate_method1, degenerate_method2, enumerate_meta_paths,
+                  hetero_graph_from_dict, laplacian, load_hetero_graph,
+                  load_hetero_graph_csv, materialize_meta_path_graph,
+                  save_hetero_graph)
 from .metrics import (MetricsRecord, auprc, auroc, compute_metrics, f1_macro,
                       pr_points, recall, roc_points)
 from .model import (ChiGadModel, build_model, chigad_forward, forward_pass,

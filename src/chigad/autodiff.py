@@ -208,17 +208,16 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
     flow to x and to w; never to S or the coefficients.  S may be
     non-symmetric: the x gradient applies its transpose.
     """
-    mat = getattr(S, "matrix", S)
-    if mat.shape[0] != mat.shape[1] or x.value.shape[0] != mat.shape[0]:
+    if S.shape[0] != S.shape[1] or x.value.shape[0] != S.shape[0]:
         raise ValueError(
-            f"operator {mat.shape} does not fit signal rows {x.value.shape[0]}")
+            f"operator {S.shape} does not fit signal rows {x.value.shape[0]}")
     cvals = np.asarray(coeffs, dtype=np.float64)
     parents = [x] if meta_weight is None else [x, meta_weight]
     tape = _tape_of(*parents)
     w = 1.0 if meta_weight is None else float(meta_weight.value)
 
     # powers[k] = S^k x is kept only when the w gradient needs it
-    powers = monomial_powers(mat, x.value, len(cvals))
+    powers = monomial_powers(S, x.value, len(cvals))
     if meta_weight is not None:
         powers = list(powers)
     wpow = w ** np.arange(len(cvals))
@@ -226,11 +225,11 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
 
     def backward(g):
         # dx: sum_k c_k w^k (S^T)^k g, built by iterated transpose passes
-        mat_t = mat.T
+        S_t = S.T
         gx = cvals[0] * wpow[0] * g
         q = g
         for k in range(1, len(cvals)):
-            q = mat_t @ q
+            q = S_t @ q
             gx = gx + cvals[k] * wpow[k] * q
         x.accumulate(gx)
         if meta_weight is not None:

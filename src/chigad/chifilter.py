@@ -175,20 +175,19 @@ def apply_filter(coeffs, S, X: np.ndarray) -> np.ndarray:
     if isinstance(coeffs, PolyFilter):
         coeffs = coeffs.coeffs
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    mat = getattr(S, "matrix", S)
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
     if squeeze:
         X = X[:, None]
-    if mat.shape[0] != mat.shape[1]:
+    if S.shape[0] != S.shape[1]:
         raise ValueError("shift operator must be square")
-    if X.shape[0] != mat.shape[0]:
+    if X.shape[0] != S.shape[0]:
         raise ValueError(
-            f"signal rows {X.shape[0]} do not match operator dimension {mat.shape[0]}")
+            f"signal rows {X.shape[0]} do not match operator dimension {S.shape[0]}")
     acc = coeffs[0] * X
     power = X
     for c in coeffs[1:]:
-        power = mat @ power
+        power = S @ power
         if c != 0.0:
             acc = acc + c * power
     return acc.ravel() if squeeze else acc

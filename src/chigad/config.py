@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
-ACTIVATIONS = ("relu", "tanh", "leaky_relu")
+from .autodiff import ACTIVATIONS
+
 FILTER_MODES = ("chi", "lowpass1")
 
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 8, 16, 32, 64, 128)

@@ -8,7 +8,11 @@ masks live on one designated target type.
 Meta-paths are closed walks on the schema (same start and end type); each one
 materializes to a homogeneous graph over the anchor type by chaining the
 relation blocks.  Two degeneration methods flatten the whole graph to a single
-homogeneous graph (all nodes / target nodes only).
+homogeneous adjacency (all nodes / target nodes only).
+
+Every graph operator downstream is the normalized Laplacian of such an
+adjacency: `laplacian(adj)` returns it as a plain canonical CSR matrix, whose
+spectrum lies in [0, 2], the interval the Chi-Square filters are fitted on.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,11 +29,6 @@ import scipy.sparse as sp
 class GraphFormatError(ValueError):
     """Raised when an input graph file violates the documented format."""
 
-
-NORMALIZED_LAPLACIAN = "normalized_laplacian"
-UNNORMALIZED_LAPLACIAN = "unnormalized_laplacian"
-ADJACENCY = "adjacency"
-OPERATOR_KINDS = (NORMALIZED_LAPLACIAN, UNNORMALIZED_LAPLACIAN, ADJACENCY)
 
 LABEL_BENIGN = 0
 LABEL_ANOMALY = 1
@@ -109,9 +108,7 @@ class MetaPath:
 
 @dataclass
 class MetaPathGraph:
-    anchor_type: str
     adjacency: sp.csr_matrix  # |V_o| x |V_o|, symmetric 0/1, zero diagonal
-    source_path: MetaPath
 
     @property
     def num_nodes(self) -> int:
@@ -120,27 +117,6 @@ class MetaPathGraph:
     @property
     def is_empty(self) -> bool:
         return self.adjacency.nnz == 0
-
-
-@dataclass
-class HomoGraph:
-    adjacency: sp.csr_matrix  # symmetric 0/1
-    # back-map to (type, local index) for graphs spanning several types
-    node_origin: list[tuple[str, int]] | None = None
-
-    @property
-    def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
-
-
-@dataclass
-class ShiftOperator:
-    matrix: sp.csr_matrix
-    kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _canonical(m: sp.spmatrix) -> sp.csr_matrix:
@@ -163,9 +139,8 @@ def _symmetrize_union(m: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _clear_diagonal(m: sp.csr_matrix) -> sp.csr_matrix:
-    m = m.tolil()
-    m.setdiag(0)
-    return _canonical(m)
+    # keeps no explicit zero on the diagonal, which _binarize would turn into 1
+    return _canonical(sp.triu(m, 1) + sp.tril(m, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +153,13 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     Node ordering is file order; all indices are 0-based per-type local ids.
     Raises GraphFormatError on malformed input, dangling edge endpoints,
     overlapping split masks, or masked nodes without labels, and names the
-    field for a missing spec field, a name or target_type that is not a
-    string, a count or feature_dim that is not a non-negative integer, a
-    feature that is not a finite number or a ragged feature row, a
-    non-integer edge or split id, labels that are not a list, a label other
-    than 0, 1 or null, splits that are not an object, or a split key other
-    than train/val/test.
+    field for a top level that is not an object, a missing spec field,
+    node_types, relations or labels that are not a list, a name or
+    target_type that is not a string, a count or feature_dim that is not a
+    non-negative integer, a feature that is not a finite number or a ragged
+    feature row, a non-integer edge or split id, a label other than 0, 1 or
+    null, splits that are not an object, or a split key other than
+    train/val/test.
     """
     try:
         with open(path) as fh:
@@ -215,6 +191,13 @@ def _field(spec, key: str, what: str):
     return spec[key]
 
 
+def _list(value, what: str, expected: str) -> list:
+    if not isinstance(value, list):
+        raise GraphFormatError(
+            f"{what}: expected a list of {expected}, got {type(value).__name__}")
+    return value
+
+
 def _name(spec, key: str, what: str) -> str:
     value = _field(spec, key, what)
     if not isinstance(value, str):
@@ -231,12 +214,15 @@ def _size(spec, key: str, what: str) -> int:
 
 
 def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
+    if not isinstance(doc, dict):
+        raise GraphFormatError(
+            f"graph: expected an object at the top level, got {type(doc).__name__}")
     for key in ("node_types", "relations", "target_type", "labels", "splits"):
         if key not in doc:
             raise GraphFormatError(f"missing top-level key '{key}'")
 
     node_types, node_counts, features = [], {}, {}
-    for k, spec in enumerate(doc["node_types"]):
+    for k, spec in enumerate(_list(doc["node_types"], "node_types", "node type objects")):
         name = _name(spec, "name", f"node_types[{k}]")
         if name in node_counts:
             raise GraphFormatError(f"duplicate node type '{name}'")
@@ -255,7 +241,7 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
 
     relations = []
     rel_names = set()
-    for k, spec in enumerate(doc["relations"]):
+    for k, spec in enumerate(_list(doc["relations"], "relations", "relation objects")):
         name, src, dst = (_name(spec, key, f"relations[{k}]")
                           for key in ("name", "src", "dst"))
         if name in rel_names:
@@ -280,10 +266,7 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
     target = _name(doc, "target_type", "graph")
     if target not in node_counts:
         raise GraphFormatError(f"target type '{target}' not among node types")
-    if not isinstance(doc["labels"], list):
-        raise GraphFormatError(f"labels: expected a list of 0, 1 or null, "
-                               f"got {doc['labels']!r}")
-    for k, v in enumerate(doc["labels"]):
+    for k, v in enumerate(_list(doc["labels"], "labels", "0, 1 or null")):
         if not (v is None or (type(v) is int and v in (LABEL_BENIGN, LABEL_ANOMALY))):
             raise GraphFormatError(f"labels[{k}]: {v!r} is not 0, 1 or null")
     labels = np.asarray(
@@ -353,7 +336,8 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     nodes_<type>.csv (feature columns; label column on the target type, empty
     cell = unlabeled), edges_<relation>.csv (u,v rows), splits.csv (id,split).
     A cell that does not parse as a number (feature) or an integer (label,
-    edge endpoint, split id) and a meta.json entry missing a field raise a
+    edge endpoint, split id), a row that is short of a cell or blank, an
+    unknown split name, and a meta.json entry missing a field raise a
     GraphFormatError naming the file and the field.
     """
     meta_path = os.path.join(directory, "meta.json")
@@ -366,17 +350,18 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     target = _field(meta, "target_type", meta_path)
     doc: dict = {"node_types": [], "relations": [], "target_type": target}
     labels = []
-    for name in _field(meta, "node_types", meta_path):
+    for name in _list(_field(meta, "node_types", meta_path), f"{meta_path}: node_types",
+                      "node type names"):
         path = os.path.join(directory, f"nodes_{name}.csv")
-        rows = _read_csv(path)
-        header, body = rows[0], rows[1:]
-        has_label = header and header[-1] == "label"
-        feat_cols = len(header) - (1 if has_label else 0)
+        header, body = _read_csv(path)
+        has_label = header[-1:] == ["label"]
+        feat_cols = len(header) - has_label
+        _check_rows(body, ["feature"] * feat_cols + ["label"] * has_label, path)
         feats = [_cells(row[:feat_cols], float, path, k, "feature")
                  for k, row in enumerate(body, 2)]
         if has_label and name == target:
-            labels = [None if row[-1] == ""
-                      else _cells(row[-1:], int, path, k, "label")[0]
+            labels = [None if row[feat_cols] == ""
+                      else _cells(row[feat_cols:feat_cols + 1], int, path, k, "label")[0]
                       for k, row in enumerate(body, 2)]
         doc["node_types"].append(
             {"name": name, "count": len(body), "feature_dim": feat_cols, "features": feats})
@@ -384,20 +369,24 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
         raise GraphFormatError("target-type node file must carry a label column")
     doc["labels"] = labels
 
-    for k, rel in enumerate(_field(meta, "relations", meta_path)):
+    for k, rel in enumerate(_list(_field(meta, "relations", meta_path),
+                                  f"{meta_path}: relations", "relation objects")):
         name, src, dst = (_field(rel, key, f"{meta_path}: relations[{k}]")
                           for key in ("name", "src", "dst"))
         path = os.path.join(directory, f"edges_{name}.csv")
-        edges = [_cells(r[:2], int, path, i, "edge")
-                 for i, r in enumerate(_read_csv(path)[1:], 2)]
+        body = _read_csv(path)[1]
+        _check_rows(body, ["edge", "edge"], path)
+        edges = [_cells(r[:2], int, path, i, "edge") for i, r in enumerate(body, 2)]
         doc["relations"].append({"name": name, "src": src, "dst": dst, "edges": edges})
 
     splits: dict[str, list[int]] = {name: [] for name in SPLITS}
     path = os.path.join(directory, "splits.csv")
-    for k, row in enumerate(_read_csv(path)[1:], 2):
+    body = _read_csv(path)[1]
+    _check_rows(body, ["id", "split"], path)
+    for k, row in enumerate(body, 2):
         nid, split = _cells(row[:1], int, path, k, "id")[0], row[1]
         if split not in splits:
-            raise GraphFormatError(f"unknown split name '{split}'")
+            raise GraphFormatError(f"{path}: row {k}: split: unknown split name '{split}'")
         splits[split].append(nid)
     doc["splits"] = splits
     return hetero_graph_from_dict(doc)
@@ -412,12 +401,24 @@ def _cells(cells: list[str], convert, path: str, row: int, field: str) -> list:
         raise GraphFormatError(f"{path}: row {row}: {field}: {exc}") from exc
 
 
-def _read_csv(path: str) -> list[list[str]]:
+def _check_rows(body: list[list[str]], fields: list[str], path: str) -> None:
+    """A row with fewer cells than fields, a blank line among them, is a
+    GraphFormatError naming the file, row (header = 1) and first missing field."""
+    for k, row in enumerate(body, 2):
+        if len(row) < len(fields):
+            raise GraphFormatError(f"{path}: row {k}: {fields[len(row)]}: missing cell")
+
+
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header row and the body rows of a CSV file."""
     try:
         with open(path, newline="") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise GraphFormatError(f"{path}: empty file, expected a header row")
+    return rows[0], rows[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +482,16 @@ def materialize_meta_path_graph(graph: HeteroGraph, path: MetaPath) -> MetaPathG
         expected = dst
     assert product is not None
     adj = _symmetrize_union(_clear_diagonal(_binarize(product)))
-    return MetaPathGraph(path.node_type_sequence[0], adj, path)
+    return MetaPathGraph(adj)
 
 
 # ---------------------------------------------------------------------------
 # homogenization
 # ---------------------------------------------------------------------------
 
-def degenerate_method1(graph: HeteroGraph) -> HomoGraph:
-    """All nodes of all types; an edge survives iff it exists in >= 1 relation."""
+def degenerate_method1(graph: HeteroGraph) -> sp.csr_matrix:
+    """Adjacency over all nodes of all types, in the global node order; an
+    edge survives iff it exists in >= 1 relation."""
     offsets = graph.type_offsets()
     n = graph.num_nodes()
     rows, cols = [], []
@@ -503,14 +505,13 @@ def degenerate_method1(graph: HeteroGraph) -> HomoGraph:
         adj = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
     else:
         adj = sp.csr_matrix((n, n))
-    origin = [(t, i) for t in graph.node_types for i in range(graph.node_counts[t])]
-    return HomoGraph(_symmetrize_union(adj), origin)
+    return _symmetrize_union(adj)
 
 
-def degenerate_method2(graph: HeteroGraph, target: str) -> HomoGraph:
-    """Target-type nodes only.  Two nodes connect when a direct target-target
-    relation links them or when they share a neighbor under any relation pair
-    (length-2 closure through any intermediate type)."""
+def degenerate_method2(graph: HeteroGraph, target: str) -> sp.csr_matrix:
+    """Adjacency over the target-type nodes only.  Two nodes connect when a
+    direct target-target relation links them or when they share a neighbor
+    under any relation pair (length-2 closure through any intermediate type)."""
     if target not in graph.node_counts:
         raise ValueError(f"target type '{target}' absent")
     n = graph.node_counts[target]
@@ -535,40 +536,26 @@ def degenerate_method2(graph: HeteroGraph, target: str) -> HomoGraph:
         b = _binarize(block)
         acc = acc + b @ b.T
 
-    adj = _symmetrize_union(_clear_diagonal(_binarize(acc)))
-    origin = [(target, i) for i in range(n)]
-    return HomoGraph(adj, origin)
+    return _symmetrize_union(_clear_diagonal(_binarize(acc)))
 
 
 # ---------------------------------------------------------------------------
-# shift operators
+# shift operator
 # ---------------------------------------------------------------------------
 
-def laplacian(adjacency: sp.spmatrix, kind: str = NORMALIZED_LAPLACIAN) -> ShiftOperator:
-    """Build a shift operator from a symmetric nonnegative adjacency.
-
-    normalized: I - D^{-1/2} A D^{-1/2}, zero-degree rows stay identity rows.
-    unnormalized: D - A.  adjacency: A itself.
+def laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """Normalized Laplacian I - D^{-1/2} A D^{-1/2} of a symmetric nonnegative
+    adjacency, as a canonical CSR matrix; zero-degree rows stay identity rows.
     """
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind '{kind}'")
     adjacency = _canonical(adjacency)
     if (adjacency != adjacency.T).nnz != 0:
         raise ValueError("adjacency must be symmetric")
     if adjacency.nnz and adjacency.data.min() < 0:
         raise ValueError("adjacency must be nonnegative")
 
-    if kind == ADJACENCY:
-        return ShiftOperator(adjacency, kind)
-
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    n = adjacency.shape[0]
-    if kind == UNNORMALIZED_LAPLACIAN:
-        mat = sp.diags(degrees) - adjacency
-    else:
-        with np.errstate(divide="ignore"):
-            inv_sqrt = 1.0 / np.sqrt(degrees)
-        inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-        d = sp.diags(inv_sqrt)
-        mat = sp.eye(n) - d @ adjacency @ d
-    return ShiftOperator(_canonical(mat), kind)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
+    d = sp.diags(inv_sqrt)
+    return _canonical(sp.eye(adjacency.shape[0]) - d @ adjacency @ d)

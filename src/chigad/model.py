@@ -17,8 +17,9 @@ Three stages, built per graph:
    follows the largest degree, not the sum of the degrees.  The target block
    feeds an MLP head with two output columns.
 
-Every shift operator is a normalized Laplacian: its spectrum lies in [0, 2],
-the interval the filters are fitted on.  `filter_mode = lowpass1` swaps every
+Every shift operator S is a normalized Laplacian, held as the plain CSR
+matrix `laplacian(adj)` returns: its spectrum lies in [0, 2], the interval
+the filters are fitted on.  `filter_mode = lowpass1` swaps every
 filter for the degree-1 low-pass polynomial 1 - w/2, the ablation baseline.
 
 The homogeneous variant (ChiGNN) is the same network on a graph with one node
@@ -39,13 +40,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .chifilter import PolyFilter, fit_polynomial
 from .config import RunConfig, sub_seed
-from .hin import (HeteroGraph, MetaPath, MetaPathGraph, ShiftOperator,
-                  degenerate_method1, enumerate_meta_paths, laplacian,
-                  materialize_meta_path_graph)
+from .hin import (HeteroGraph, MetaPath, MetaPathGraph, degenerate_method1,
+                  enumerate_meta_paths, laplacian, materialize_meta_path_graph)
 from .spectral import (DEGENERATE_DIVISION, DIVISIONS, DivisionPlan, FusedFilter,
                        SpectralProfile, assign_filter, fuse_filters,
                        profile_capped, select_representatives)
@@ -173,7 +174,7 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
 @dataclass
 class BankEntry:
     graph: MetaPathGraph
-    operator: ShiftOperator
+    operator: sp.csr_matrix     # normalized Laplacian of graph
     fused: FusedFilter
     poly: PolyFilter            # active coefficients (fused fit, or the ablation)
     weight_name: str
@@ -194,13 +195,13 @@ class MultiGraphFilterBank:
             return
         X = np.array(X, dtype=np.float64)
         for e in self.entries:
-            e.basis = list(ad.monomial_powers(e.operator.matrix, X, len(e.poly.coeffs)))
+            e.basis = list(ad.monomial_powers(e.operator, X, len(e.poly.coeffs)))
         self.features = X
 
 
 @dataclass
 class MetaGraphConvLayer:
-    operator: ShiftOperator
+    operator: sp.csr_matrix     # normalized Laplacian of the Method-1 graph
     filters: list[PolyFilter]
     coeffs: np.ndarray = field(init=False)     # summed_coeffs(filters)
 
@@ -297,10 +298,9 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         d_o = graph.feature_dim(o)
         params[f"W_align[{o}]"] = _uniform_init(rng, d_o, (d_o, cfg.aligned_dim))
 
-    homo = degenerate_method1(graph)
     conv_filters = [lowpass] if ablation else [
         fit_polynomial(i, cfg.degree_budget) for i in sorted(set(cfg.candidates))]
-    conv = MetaGraphConvLayer(laplacian(homo.adjacency), conv_filters)
+    conv = MetaGraphConvLayer(laplacian(degenerate_method1(graph)), conv_filters)
 
     widths = [cfg.aligned_dim] * cfg.mlp_layers + [2]
     for k in range(cfg.mlp_layers):
@@ -390,7 +390,7 @@ def forward_pass(model: ChiGadModel, graph: HeteroGraph) -> ForwardPass:
 
     stacked = ad.vstack(aligned)   # node_types order = global node order
     activated = ad.activation(stacked, model.activation)
-    conv = ad.sparse_poly_apply(model.conv.coeffs, model.conv.operator.matrix, activated)
+    conv = ad.sparse_poly_apply(model.conv.coeffs, model.conv.operator, activated)
 
     lo = model.type_offsets[model.target_type]
     rep = ad.row_slice(conv, lo, lo + model.target_count)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .chifilter import (FREQ_MAX, PolyFilter, chi_mode, chi_response,
                         fit_grid_polynomial)
-from .hin import NORMALIZED_LAPLACIAN, MetaPathGraph, ShiftOperator, laplacian
+from .hin import MetaPathGraph, laplacian
 
 DIVISIONS = ("low", "mid", "high")
 DEGENERATE_DIVISION = "all"
@@ -32,17 +32,13 @@ DEFAULT_EIG_CAP = 3000
 FUSION_GRID = 1024
 
 
-def _as_matrix(op):
-    return op.matrix if isinstance(op, ShiftOperator) else op
-
-
 def s_high(x: np.ndarray, L) -> float:
     """High-frequency area of a signal: x'Lx / x'x."""
     x = np.asarray(x, dtype=np.float64).ravel()
     denom = float(x @ x)
     if denom == 0.0:
         raise ValueError("s_high of the zero vector is undefined")
-    return float(x @ (_as_matrix(L) @ x)) / denom
+    return float(x @ (L @ x)) / denom
 
 
 def graph_s_high(graph: MetaPathGraph, X: np.ndarray) -> float:
@@ -50,7 +46,7 @@ def graph_s_high(graph: MetaPathGraph, X: np.ndarray) -> float:
     if graph.is_empty:
         raise ValueError("graph has no edges")
     X = np.asarray(X, dtype=np.float64)
-    L = laplacian(graph.adjacency, NORMALIZED_LAPLACIAN)
+    L = laplacian(graph.adjacency)
     cols = [j for j in range(X.shape[1]) if np.any(X[:, j])]
     if not cols:
         raise ValueError("all feature columns are zero")
@@ -117,7 +113,7 @@ def spectral_profile(graph: MetaPathGraph, X: np.ndarray, K: int,
         raise ValueError(
             f"graph has {n} nodes, above the dense eigendecomposition cap "
             f"{eig_cap}; profile an induced subsample instead")
-    L = laplacian(graph.adjacency, NORMALIZED_LAPLACIAN).matrix
+    L = laplacian(graph.adjacency)
     labels = connected_components(graph.adjacency)
     order = np.argsort(labels, kind="stable")
     L = L[order][:, order]
@@ -156,7 +152,7 @@ def subsample_graph(graph: MetaPathGraph, X: np.ndarray, cap: int,
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=cap, replace=False))
     sub = sp.csr_matrix(graph.adjacency[idx][:, idx])
-    return MetaPathGraph(graph.anchor_type, sub, graph.source_path), X[idx]
+    return MetaPathGraph(sub), X[idx]
 
 
 def profile_capped(graph: MetaPathGraph, X: np.ndarray, K: int,
@@ -297,7 +293,7 @@ def theorem1_search(signals: np.ndarray, L) -> tuple[np.ndarray, float]:
     if not keep.any():
         raise ValueError("every signal is zero")
     Q = U[:, keep]
-    M = Q.T @ (_as_matrix(L) @ Q)
+    M = Q.T @ (L @ Q)
     y = np.linalg.eigh((M + M.T) / 2.0)[1][:, -1]
     w = Vt[keep].T @ (y / sv[keep])
     return w, s_high(X @ w, L)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .hin import LABEL_ANOMALY, HeteroGraph, ShiftOperator, degenerate_method2, laplacian
+from .hin import LABEL_ANOMALY, HeteroGraph, degenerate_method2, laplacian
 from .metrics import MetricsRecord, compute_metrics, f1_macro
 from .model import ChiGadModel, forward_pass
 
@@ -55,10 +55,9 @@ def node_contributions(Xp: np.ndarray, L, restrict: np.ndarray | None = None) ->
     Xp = np.asarray(Xp, dtype=np.float64)
     if Xp.ndim == 1:
         Xp = Xp[:, None]
-    mat = L.matrix if isinstance(L, ShiftOperator) else L
-    if Xp.shape[0] != mat.shape[0]:
+    if Xp.shape[0] != L.shape[0]:
         raise ValueError("representation rows do not match the operator dimension")
-    LX = mat @ Xp
+    LX = L @ Xp
     denoms = (Xp * LX).sum(axis=0)
     used = [j for j in range(Xp.shape[1]) if denoms[j] >= DENOM_FLOOR]
     if not used:
@@ -144,8 +143,7 @@ def train(model: ChiGadModel, graph: HeteroGraph, cfg: RunConfig) -> TrainRecord
     if not train_mask.any() or not val_mask.any():
         raise ValueError("train and val splits must be nonempty")
     labels = graph.labels
-    target_graph = degenerate_method2(graph, graph.target_type)
-    L_t = laplacian(target_graph.adjacency)
+    L_t = laplacian(degenerate_method2(graph, graph.target_type))
     cc = CcLossConfig(cfg.loss_h, cfg.loss_l)
     opt = Adam(model.params, cfg.learning_rate, weight_decay=cfg.weight_decay)
 

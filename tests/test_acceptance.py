@@ -24,8 +24,7 @@ from chigad.chifilter import (admissibility_closed_form, admissibility_integral,
                               apply_filter, chi_mode, chi_moments, fit_polynomial)
 from chigad.cli import main
 from chigad.config import RunConfig, SyntheticSpec, sub_seed
-from chigad.hin import (NORMALIZED_LAPLACIAN, enumerate_meta_paths,
-                        hetero_graph_from_dict, laplacian,
+from chigad.hin import (enumerate_meta_paths, hetero_graph_from_dict, laplacian,
                         materialize_meta_path_graph)
 from chigad.metrics import compute_metrics
 from chigad.model import build_model, forward_pass
@@ -112,7 +111,7 @@ def test_c3_combination_search(capsys):
                 u, v = rng.integers(0, n, size=2)
                 if u != v:
                     adj[u, v] = adj[v, u] = 1
-            L = laplacian(sp.csr_matrix(adj), NORMALIZED_LAPLACIAN)
+            L = laplacian(sp.csr_matrix(adj))
             signals = rng.standard_normal((n, k))
             _, best = theorem1_search(signals, L)
             individual = max(s_high(signals[:, j], L) for j in range(k))
@@ -304,7 +303,7 @@ def test_c6_loss_identities(capsys):
         adj = sp.csr_matrix((np.ones(n - 1), (np.arange(n - 1), np.arange(1, n))),
                             shape=(n, n))
         adj = ((adj + adj.T) > 0).astype(np.float64)
-        L = laplacian(adj, NORMALIZED_LAPLACIAN)
+        L = laplacian(adj)
         contrib = node_contributions(rep, L)
         labels = rng.integers(0, 2, size=n)
         flat = cc_weights(contrib, labels, CcLossConfig(h=1.0, l=1.0))
@@ -386,7 +385,7 @@ def test_c8_spatial_locality(capsys):
         rows = np.arange(n - 1)
         adj = sp.csr_matrix((np.ones(n - 1), (rows, rows + 1)), shape=(n, n))
         adj = ((adj + adj.T) > 0).astype(np.float64)
-        S = laplacian(adj, NORMALIZED_LAPLACIAN).matrix
+        S = laplacian(adj)
         hops = np.abs(np.arange(n) - src)
         delta = np.zeros((n, 1))
         delta[src, 0] = 1.0

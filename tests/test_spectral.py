@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from chigad.chifilter import chi_mode, chi_response
-from chigad.hin import NORMALIZED_LAPLACIAN, MetaPathGraph, laplacian
+from chigad.hin import MetaPathGraph, laplacian
 from chigad.spectral import (DEGENERATE_DIVISION, DIVISIONS, assign_filter,
                              connected_components, fuse_filters, graph_s_high,
                              profile_capped, s_high, select_representatives,
@@ -12,14 +12,14 @@ from oracles import bfs_components, chi2_density, dense_profile, same_partition
 
 
 def edge_graph():
-    return MetaPathGraph("a", sp.csr_matrix(np.array([[0, 1], [1, 0]], float)), None)
+    return MetaPathGraph(sp.csr_matrix(np.array([[0, 1], [1, 0]], float)))
 
 
 def path_graph(n):
     a = np.zeros((n, n))
     for k in range(n - 1):
         a[k, k + 1] = a[k + 1, k] = 1.0
-    return MetaPathGraph("a", sp.csr_matrix(a), None)
+    return MetaPathGraph(sp.csr_matrix(a))
 
 
 def random_graph(rng, n, p=0.4):
@@ -29,7 +29,7 @@ def random_graph(rng, n, p=0.4):
     for k in range(n - 1):
         a[k, k + 1] = 1.0
     a = a + a.T
-    return MetaPathGraph("a", sp.csr_matrix(a), None)
+    return MetaPathGraph(sp.csr_matrix(a))
 
 
 def sparse_graph(rng, n, p):
@@ -52,7 +52,7 @@ def disconnected_graph(rng):
               for m in rng.integers(2, 13, size=6)]
     a = sp.block_diag(blocks + [sp.csr_matrix((5, 5))], format="csr")
     perm = rng.permutation(a.shape[0])
-    return MetaPathGraph("a", sp.csr_matrix(a[perm][:, perm]), None)
+    return MetaPathGraph(sp.csr_matrix(a[perm][:, perm]))
 
 
 class TestComponents:
@@ -119,7 +119,7 @@ class TestProfileExact:
         X = rng.standard_normal((30, 2))
         prof = spectral_profile(g, X, K=4)
         eigs, U = np.linalg.eigh(
-            laplacian(g.adjacency, NORMALIZED_LAPLACIAN).matrix.toarray())
+            laplacian(g.adjacency).toarray())
         assert np.array_equal(prof.eigenvalues, eigs)
         assert np.array_equal(prof.fourier_coeffs, U.T @ X.sum(axis=1))
 
@@ -133,31 +133,32 @@ class TestProfileExact:
 
 class TestSHigh:
     def test_edge_extremes(self):
-        L = laplacian(edge_graph().adjacency, NORMALIZED_LAPLACIAN)
+        L = laplacian(edge_graph().adjacency)
         assert s_high(np.array([1.0, -1.0]), L) == pytest.approx(2.0)
         assert s_high(np.array([1.0, 1.0]), L) == pytest.approx(0.0)
 
     def test_path_unnormalized(self):
-        L = laplacian(path_graph(3).adjacency, "unnormalized_laplacian")
+        a = path_graph(3).adjacency.toarray()
+        L = np.diag(a.sum(axis=1)) - a    # D - A
         assert s_high(np.array([1.0, 0.0, -1.0]), L) == pytest.approx(1.0)
 
     def test_rayleigh_bounds(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 12)
-        L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
-        eigs = np.linalg.eigvalsh(L.matrix.toarray())
+        L = laplacian(g.adjacency)
+        eigs = np.linalg.eigvalsh(L.toarray())
         for _ in range(20):
             v = rng.standard_normal(12)
             val = s_high(v, L)
             assert eigs[0] - 1e-10 <= val <= eigs[-1] + 1e-10
 
     def test_scale_invariant(self):
-        L = laplacian(path_graph(4).adjacency, NORMALIZED_LAPLACIAN)
+        L = laplacian(path_graph(4).adjacency)
         x = np.array([0.3, -1.2, 0.7, 2.0])
         assert s_high(x, L) == pytest.approx(s_high(7.5 * x, L), rel=1e-12)
 
     def test_zero_vector(self):
-        L = laplacian(edge_graph().adjacency, NORMALIZED_LAPLACIAN)
+        L = laplacian(edge_graph().adjacency)
         with pytest.raises(ValueError, match="zero vector"):
             s_high(np.zeros(2), L)
 
@@ -176,7 +177,7 @@ class TestGraphSHigh:
         assert graph_s_high(edge_graph(), X) == pytest.approx(2.0)
 
     def test_empty_graph(self):
-        g = MetaPathGraph("a", sp.csr_matrix((2, 2)), None)
+        g = MetaPathGraph(sp.csr_matrix((2, 2)))
         with pytest.raises(ValueError, match="no edges"):
             graph_s_high(g, np.ones((2, 1)))
 
@@ -214,7 +215,7 @@ class TestProfile:
     def test_band_max_on_pure_eigenvector(self):
         rng = np.random.default_rng(9)
         g = random_graph(rng, 8)
-        L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN).matrix.toarray()
+        L = laplacian(g.adjacency).toarray()
         eigs, U = np.linalg.eigh(L)
         # all energy lands in one coefficient; with K = n each band holds one
         # eigenvalue, so band_max is exactly the eigenvalue of that component
@@ -327,14 +328,14 @@ class TestDivisions:
     def test_empty_graphs_unlabeled(self):
         rng = np.random.default_rng(25)
         graphs, X = self._graphs_and_features(rng, 3)
-        graphs.insert(1, MetaPathGraph("a", sp.csr_matrix((9, 9)), None))
+        graphs.insert(1, MetaPathGraph(sp.csr_matrix((9, 9))))
         plan = select_representatives(graphs, X)
         assert plan.labels[1] is None
         assert plan.scores[1] is None
         assert not plan.degenerate
 
     def test_all_empty(self):
-        empty = MetaPathGraph("a", sp.csr_matrix((4, 4)), None)
+        empty = MetaPathGraph(sp.csr_matrix((4, 4)))
         with pytest.raises(ValueError, match="no nonempty"):
             select_representatives([empty, empty], np.ones((4, 1)))
 
@@ -446,7 +447,7 @@ class TestTheorem1:
         for trial in range(10):
             n = int(rng.integers(5, 14))
             g = random_graph(rng, n)
-            L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
+            L = laplacian(g.adjacency)
             k = int(rng.integers(2, 5))
             X = rng.standard_normal((n, k))
             w, achieved = theorem1_search(X, L)
@@ -457,8 +458,8 @@ class TestTheorem1:
     def test_two_eigenvectors_reach_larger(self):
         rng = np.random.default_rng(32)
         g = random_graph(rng, 8)
-        L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
-        eigs, U = np.linalg.eigh(L.matrix.toarray())
+        L = laplacian(g.adjacency)
+        eigs, U = np.linalg.eigh(L.toarray())
         X = U[:, [2, 6]]
         _, achieved = theorem1_search(X, L)
         # combinations of two eigenvectors span Rayleigh values [eig2, eig6]
@@ -468,7 +469,7 @@ class TestTheorem1:
         # a repeated and a zero column leave the span, and so the optimum, as is
         rng = np.random.default_rng(34)
         g = random_graph(rng, 9)
-        L = laplacian(g.adjacency, NORMALIZED_LAPLACIAN)
+        L = laplacian(g.adjacency)
         X = rng.standard_normal((9, 2))
         padded = np.column_stack([X[:, 0], 2.0 * X[:, 0], np.zeros(9), X[:, 1]])
         w, achieved = theorem1_search(padded, L)
@@ -478,6 +479,6 @@ class TestTheorem1:
             theorem1_search(np.zeros((9, 2)), L)
 
     def test_needs_two_columns(self):
-        L = laplacian(edge_graph().adjacency, NORMALIZED_LAPLACIAN)
+        L = laplacian(edge_graph().adjacency)
         with pytest.raises(ValueError, match="two signal columns"):
             theorem1_search(np.ones((2, 1)), L)
