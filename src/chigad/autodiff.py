@@ -195,9 +195,9 @@ def monomial_powers(mat, x: np.ndarray, count: int):
         yield power
 
 
-def _weighted_sum(cvals, wpow, powers) -> np.ndarray:
-    # one summation order for every polynomial, so a cached basis reproduces
-    # sparse_poly_apply bit for bit
+def weighted_sum(cvals, wpow, powers) -> np.ndarray:
+    """sum_k c_k w^k P_k, in one summation order for every polynomial: a
+    cached basis reproduces sparse_poly_apply bit for bit."""
     return np.asarray(sum(c * wk * p for c, wk, p in zip(cvals, wpow, powers)))
 
 
@@ -221,17 +221,11 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
     if meta_weight is not None:
         powers = list(powers)
     wpow = w ** np.arange(len(cvals))
-    out = Node(tape, _weighted_sum(cvals, wpow, powers), "sparse_poly_apply", parents)
+    out = Node(tape, weighted_sum(cvals, wpow, powers), "sparse_poly_apply", parents)
 
     def backward(g):
         # dx: sum_k c_k w^k (S^T)^k g, built by iterated transpose passes
-        S_t = S.T
-        gx = cvals[0] * wpow[0] * g
-        q = g
-        for k in range(1, len(cvals)):
-            q = S_t @ q
-            gx = gx + cvals[k] * wpow[k] * q
-        x.accumulate(gx)
+        x.accumulate(weighted_sum(cvals, wpow, monomial_powers(S.T, g, len(cvals))))
         if meta_weight is not None:
             meta_weight.accumulate(np.asarray(_dw(cvals, w, powers, g)))
 
@@ -259,7 +253,7 @@ def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
         raise ValueError(f"{len(cvals)} coefficients for a basis of {len(basis)} powers")
     w = float(meta_weight.value)
     wpow = w ** np.arange(len(cvals))
-    out = Node(meta_weight.tape, _weighted_sum(cvals, wpow, basis), "basis_combine",
+    out = Node(meta_weight.tape, weighted_sum(cvals, wpow, basis), "basis_combine",
                [meta_weight])
     out.backward_fn = lambda g: meta_weight.accumulate(np.asarray(_dw(cvals, w, basis, g)))
     return out

@@ -25,6 +25,8 @@ from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 from scipy.special import gammainc, gammaln
 
+from .autodiff import monomial_powers, weighted_sum
+
 FREQ_MAX = 2.0
 
 
@@ -184,10 +186,5 @@ def apply_filter(coeffs, S, X: np.ndarray) -> np.ndarray:
     if X.shape[0] != S.shape[0]:
         raise ValueError(
             f"signal rows {X.shape[0]} do not match operator dimension {S.shape[0]}")
-    acc = coeffs[0] * X
-    power = X
-    for c in coeffs[1:]:
-        power = S @ power
-        if c != 0.0:
-            acc = acc + c * power
+    acc = weighted_sum(coeffs, np.ones(len(coeffs)), monomial_powers(S, X, len(coeffs)))
     return acc.ravel() if squeeze else acc

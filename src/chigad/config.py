@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, fields
 
 from .autodiff import ACTIVATIONS
 
-FILTER_MODES = ("chi", "lowpass1")
-
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 8, 16, 32, 64, 128)
 
 
@@ -69,8 +67,6 @@ class RunConfig:
     activation: str = "relu"
     mlp_layers: int = 4
     seed: int = 0
-    eig_cap: int = 3000
-    filter_mode: str = "chi"             # lowpass1 = degree-1 low-pass ablation
     checkpoint: str = ""                 # consumed by eval
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
 
@@ -99,10 +95,6 @@ class RunConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.mlp_layers < 1:
             raise ValueError("mlp_layers must be >= 1")
-        if self.eig_cap < 10:
-            raise ValueError("eig_cap must be >= 10")
-        if self.filter_mode not in FILTER_MODES:
-            raise ValueError(f"filter_mode must be one of {FILTER_MODES}")
         self.synth.validate()
 
     def arch_fingerprint(self) -> dict:
@@ -117,8 +109,6 @@ class RunConfig:
             "path_max": self.path_max,
             "activation": self.activation,
             "mlp_layers": self.mlp_layers,
-            "eig_cap": self.eig_cap,
-            "filter_mode": self.filter_mode,
         }
 
 
@@ -129,9 +119,9 @@ def sub_seed(seed: int, name: str) -> int:
 
 
 _INT_KEYS = {"bands", "degree_budget", "aligned_dim", "path_min", "path_max",
-             "epochs", "mlp_layers", "seed", "eig_cap"}
+             "epochs", "mlp_layers", "seed"}
 _FLOAT_KEYS = {"w_d", "learning_rate", "weight_decay", "loss_h", "loss_l"}
-_STR_KEYS = {"graph", "activation", "filter_mode", "checkpoint"}
+_STR_KEYS = {"graph", "activation", "checkpoint"}
 _SYNTH_INT = {"synth_communities": "communities"}
 _SYNTH_FLOAT = {"synth_anomaly_rate": "anomaly_rate", "synth_shift": "shift",
                 "synth_rewire": "rewire", "synth_train_frac": "train_frac",

@@ -95,10 +95,6 @@ class MetaPath:
     node_type_sequence: tuple[str, ...]  # o_1 .. o_{l+1}, with o_1 == o_{l+1}
     relation_sequence: tuple[str, ...]   # r_1 .. r_l
 
-    @property
-    def length(self) -> int:
-        return len(self.relation_sequence)
-
     def __str__(self) -> str:
         parts = [self.node_type_sequence[0]]
         for r, o in zip(self.relation_sequence, self.node_type_sequence[1:]):
@@ -155,7 +151,8 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     overlapping split masks, or masked nodes without labels, and names the
     field for a top level that is not an object, a missing spec field,
     node_types, relations or labels that are not a list, a name or
-    target_type that is not a string, a count or feature_dim that is not a
+    target_type that is not a string, a count that is not a positive integer
+    (a node type needs at least one node) or a feature_dim that is not a
     non-negative integer, a feature that is not a finite number or a ragged
     feature row, a non-integer edge or split id, a label other than 0, 1 or
     null, splits that are not an object, or a split key other than
@@ -228,6 +225,8 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
             raise GraphFormatError(f"duplicate node type '{name}'")
         what = f"node type {name}"
         count, dim = _size(spec, "count", what), _size(spec, "feature_dim", what)
+        if count == 0:
+            raise GraphFormatError(f"{what}: 'count' must be a positive integer, got 0")
         feats = _typed_array(_field(spec, "features", what), f"{what}: features",
                              "iuf", "rows of numbers").astype(np.float64)
         if feats.shape != (count, dim):
@@ -338,7 +337,8 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     A cell that does not parse as a number (feature) or an integer (label,
     edge endpoint, split id), a row that is short of a cell or blank, an
     unknown split name, and a meta.json entry missing a field raise a
-    GraphFormatError naming the file and the field.
+    GraphFormatError naming the file and the field; a node file with no node
+    rows and a target-type node file without a label column name the file.
     """
     meta_path = os.path.join(directory, "meta.json")
     try:
@@ -354,19 +354,21 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
                       "node type names"):
         path = os.path.join(directory, f"nodes_{name}.csv")
         header, body = _read_csv(path)
+        if not body:
+            raise GraphFormatError(f"{path}: no node rows (a node type needs at least one)")
         has_label = header[-1:] == ["label"]
+        if name == target and not has_label:
+            raise GraphFormatError(f"{path}: target-type node file must carry a label column")
         feat_cols = len(header) - has_label
         _check_rows(body, ["feature"] * feat_cols + ["label"] * has_label, path)
         feats = [_cells(row[:feat_cols], float, path, k, "feature")
                  for k, row in enumerate(body, 2)]
-        if has_label and name == target:
+        if name == target:
             labels = [None if row[feat_cols] == ""
                       else _cells(row[feat_cols:feat_cols + 1], int, path, k, "label")[0]
                       for k, row in enumerate(body, 2)]
         doc["node_types"].append(
             {"name": name, "count": len(body), "feature_dim": feat_cols, "features": feats})
-    if not labels:
-        raise GraphFormatError("target-type node file must carry a label column")
     doc["labels"] = labels
 
     for k, rel in enumerate(_list(_field(meta, "relations", meta_path),

@@ -19,8 +19,9 @@ Three stages, built per graph:
 
 Every shift operator S is a normalized Laplacian, held as the plain CSR
 matrix `laplacian(adj)` returns: its spectrum lies in [0, 2], the interval
-the filters are fitted on.  `filter_mode = lowpass1` swaps every
-filter for the degree-1 low-pass polynomial 1 - w/2, the ablation baseline.
+the filters are fitted on.  An ablation is built by swapping filters on a
+built model (each bank entry's `poly` and cached `basis`, and the `conv`
+layer), not by a config key.
 
 The homogeneous variant (ChiGNN) is the same network on a graph with one node
 type n and one relation e: n -> n.  With path_min = path_max = 1 its one
@@ -47,14 +48,9 @@ from .chifilter import PolyFilter, fit_polynomial
 from .config import RunConfig, sub_seed
 from .hin import (HeteroGraph, MetaPath, MetaPathGraph, degenerate_method1,
                   enumerate_meta_paths, laplacian, materialize_meta_path_graph)
-from .spectral import (DEGENERATE_DIVISION, DIVISIONS, DivisionPlan, FusedFilter,
-                       SpectralProfile, assign_filter, fuse_filters,
+from .spectral import (DEFAULT_EIG_CAP, DEGENERATE_DIVISION, DIVISIONS,
+                       DivisionPlan, SpectralProfile, assign_filter, fuse_filters,
                        profile_capped, select_representatives)
-
-
-def lowpass1_filter() -> PolyFilter:
-    """Degree-1 low-pass 1 - w/2: response 1 at w=0, 0 at w=2."""
-    return PolyFilter(np.array([1.0, -0.5]), 1, 0.0)
 
 
 def summed_coeffs(filters: list[PolyFilter]) -> np.ndarray:
@@ -97,7 +93,7 @@ def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
     paths = enumerate_meta_paths(graph, node_type, cfg.path_min, cfg.path_max)
     graphs = [materialize_meta_path_graph(graph, p) for p in paths]
     if stored is not None:
-        return _restore_type_plan(node_type, paths, graphs, stored)
+        return _restore_type_plan(node_type, paths, graphs, stored, cfg.candidates)
     X = graph.features[node_type]
     if not any(not g.is_empty for g in graphs):
         return TypePlan(node_type, paths, graphs, None, {}, {})
@@ -107,8 +103,8 @@ def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
     profiles: dict[str, SpectralProfile] = {}
     for division, rep_idx in plan.representatives.items():
         rep = graphs[rep_idx]
-        k_eff = min(cfg.bands, min(rep.num_nodes, cfg.eig_cap))
-        profile = profile_capped(rep, X, k_eff, cfg.eig_cap,
+        k_eff = min(cfg.bands, rep.num_nodes, DEFAULT_EIG_CAP)
+        profile = profile_capped(rep, X, k_eff, DEFAULT_EIG_CAP,
                                  sub_seed(cfg.seed, f"profile:{node_type}:{division}"))
         profiles[division] = profile
         band_max[division] = profile.band_max
@@ -129,9 +125,11 @@ def plan_document(plans: dict[str, TypePlan]) -> dict:
 
 
 def _restore_type_plan(node_type: str, paths: list[MetaPath],
-                       graphs: list[MetaPathGraph], stored: dict) -> TypePlan:
+                       graphs: list[MetaPathGraph], stored: dict,
+                       candidates: tuple[int, ...]) -> TypePlan:
     """Rebuild a TypePlan from a plan document after checking it against the
-    meta-path graphs materialized from the graph at hand."""
+    meta-path graphs materialized from the graph at hand and the config's
+    candidate filters."""
     def mismatch(key: str, why: str) -> ValueError:
         return ValueError(f"stored filter plan, node type '{node_type}', "
                           f"field '{key}': {why}")
@@ -143,10 +141,11 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
         return TypePlan(node_type, paths, graphs, None, {}, {})
     if doc is None:
         raise mismatch("paths", "no plan stored for a type with valid meta-paths")
-    missing = [k for k in ("paths", "labels", "scores", "representatives",
-                           "degenerate", "band_max", "assigned") if k not in doc]
-    if missing:
-        raise mismatch(missing[0], "missing")
+    for key, kind in (("paths", list), ("labels", list), ("scores", list),
+                      ("representatives", dict), ("degenerate", bool),
+                      ("band_max", dict), ("assigned", dict)):
+        if not isinstance(doc.get(key), kind):
+            raise mismatch(key, f"missing or not a {kind.__name__}")
     if doc["paths"] != [str(p) for p in paths]:
         raise mismatch("paths", "differs from the graph's meta-paths")
     labels = doc["labels"]
@@ -159,12 +158,19 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
     for key in ("representatives", "band_max", "assigned"):
         if set(doc[key]) != set(divisions):
             raise mismatch(key, f"keys must be the divisions {list(divisions)}")
-    plan = DivisionPlan(list(labels),
-                        {d: int(doc["representatives"][d]) for d in divisions},
-                        list(doc["scores"]), bool(doc["degenerate"]))
-    band_max = {d: float(doc["band_max"][d]) for d in divisions}
-    assigned = {d: int(doc["assigned"][d]) for d in divisions}
-    return TypePlan(node_type, paths, graphs, plan, band_max, assigned)
+    reps, band_max, assigned = doc["representatives"], doc["band_max"], doc["assigned"]
+    for d in divisions:
+        if type(reps[d]) is not int or not 0 <= reps[d] < len(labels) or labels[reps[d]] != d:
+            raise mismatch("representatives", f"'{d}' must index a graph of that division")
+        if type(band_max[d]) not in (int, float):
+            raise mismatch("band_max", f"'{d}' must be a number")
+        if type(assigned[d]) is not int or assigned[d] not in candidates:
+            raise mismatch("assigned", f"'{d}' must be one of the candidates {candidates}")
+    plan = DivisionPlan(list(labels), {d: reps[d] for d in divisions},
+                        list(doc["scores"]), doc["degenerate"])
+    return TypePlan(node_type, paths, graphs, plan,
+                    {d: float(band_max[d]) for d in divisions},
+                    {d: assigned[d] for d in divisions})
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +179,8 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
 
 @dataclass
 class BankEntry:
-    graph: MetaPathGraph
-    operator: sp.csr_matrix     # normalized Laplacian of graph
-    fused: FusedFilter
-    poly: PolyFilter            # active coefficients (fused fit, or the ablation)
+    operator: sp.csr_matrix     # normalized Laplacian of the meta-path graph
+    poly: PolyFilter            # the fused filter's fit
     weight_name: str
     division: str
     basis: list[np.ndarray] = field(default_factory=list, repr=False)  # S^k X
@@ -220,13 +224,9 @@ class ChiGadModel:
     schema_hash: str
     activation: str
     mlp_layers: int
-    aligned_dim: int
     type_offsets: dict[str, int]
     target_count: int
     plans: dict[str, TypePlan] = field(default_factory=dict)
-
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
 
 
 def graph_signature(graph: HeteroGraph) -> dict:
@@ -269,8 +269,6 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         unknown = sorted(set(plan) - set(graph.node_types))
         if unknown:
             raise ValueError(f"stored filter plan names unknown node type '{unknown[0]}'")
-    ablation = cfg.filter_mode == "lowpass1"
-    lowpass = lowpass1_filter()
 
     params: dict[str, np.ndarray] = {}
     banks: dict[str, MultiGraphFilterBank] = {}
@@ -285,11 +283,9 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
                 if division is None:
                     continue
                 fused = fuse_filters(tp.assigned, division, cfg.w_d, cfg.degree_budget)
-                poly = lowpass if ablation else fused.poly
                 name = f"wS[{o}][{idx}]"
                 params[name] = np.asarray(1.0)
-                entries.append(BankEntry(
-                    g, laplacian(g.adjacency), fused, poly, name, division))
+                entries.append(BankEntry(laplacian(g.adjacency), fused.poly, name, division))
         banks[o] = MultiGraphFilterBank(o, entries)
         banks[o].refresh_basis(graph.features[o])
 
@@ -298,8 +294,8 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         d_o = graph.feature_dim(o)
         params[f"W_align[{o}]"] = _uniform_init(rng, d_o, (d_o, cfg.aligned_dim))
 
-    conv_filters = [lowpass] if ablation else [
-        fit_polynomial(i, cfg.degree_budget) for i in sorted(set(cfg.candidates))]
+    conv_filters = [fit_polynomial(i, cfg.degree_budget)
+                    for i in sorted(set(cfg.candidates))]
     conv = MetaGraphConvLayer(laplacian(degenerate_method1(graph)), conv_filters)
 
     widths = [cfg.aligned_dim] * cfg.mlp_layers + [2]
@@ -326,7 +322,6 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         schema_hash=shash,
         activation=cfg.activation,
         mlp_layers=cfg.mlp_layers,
-        aligned_dim=cfg.aligned_dim,
         type_offsets=graph.type_offsets(),
         target_count=graph.node_counts[graph.target_type],
         plans=plans,
@@ -450,6 +445,13 @@ def _read_header(fh) -> dict:
                          f"{CHECKPOINT_MAGIC} file")
     if magic != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint file")
+    missing = [k for k in ("schema_hash", "params", "plan") if k not in header]
+    if missing:
+        raise ValueError(f"checkpoint header: missing field '{missing[0]}'")
+    plan = header["plan"]
+    if not (isinstance(plan, dict) and all(isinstance(doc, dict) for doc in plan.values())):
+        raise ValueError("checkpoint header, field 'plan': expected an object "
+                         "mapping node types to plan objects")
     return header
 
 
@@ -462,11 +464,13 @@ def checkpoint_plan(path: str) -> dict:
 def load_checkpoint(model: ChiGadModel, path: str) -> dict:
     """Load parameters into a model built for the same graph, config and plan.
 
-    Returns the header's extra dict.  It is an error when the schema hash
-    differs (a different graph or architecture), when the stored filter plan
-    differs from `model.plans` in its meta-paths, division labels or assigned
-    filters (weights trained for other filters), when the parameter layout
-    differs, and when the parameter bytes are short or followed by more.
+    Returns the header's extra dict.  It is an error when the header lacks
+    schema_hash, params or plan, or its plan is not an object of plan objects
+    (each named), when the schema hash differs (a different graph or
+    architecture), when the stored filter plan differs from `model.plans` in
+    its meta-paths, division labels or assigned filters (weights trained for
+    other filters), when the parameter layout differs, and when the parameter
+    bytes are short or followed by more.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)

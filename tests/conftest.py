@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from chigad.chifilter import PolyFilter
 from chigad.config import RunConfig
 from chigad.hin import hetero_graph_from_dict
+from chigad.model import MetaGraphConvLayer
 
 
 def make_hin(rng, sizes=(6, 3, 3), dims=(4, 3, 2), extra_relation=False,
@@ -56,6 +58,20 @@ def tiny_hin():
 def small_cfg():
     return RunConfig(candidates=(1, 2, 3), bands=3, aligned_dim=5,
                      epochs=5, learning_rate=0.01, mlp_layers=2, seed=0)
+
+
+def lowpass_ablation(model):
+    """Swap every filter of a built model for the degree-1 low-pass 1 - w/2
+    (response 1 at w = 0, 0 at w = 2), the ablation baseline.  Each bank
+    entry's cached powers start S^0 X, S^1 X, so its first two are exactly
+    the basis the low-pass needs."""
+    lowpass = PolyFilter(np.array([1.0, -0.5]), 1, 0.0)
+    for bank in model.banks.values():
+        for e in bank.entries:
+            e.poly = lowpass
+            e.basis = e.basis[:2]
+    model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass])
+    return model
 
 
 def make_one_type_hin(rng, n=12, dim=3, anomalies=(0, 5, 9)):

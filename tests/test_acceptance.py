@@ -31,7 +31,7 @@ from chigad.model import build_model, forward_pass
 from chigad.synthetic import generate_synthetic_hin
 from chigad.training import CcLossConfig, cc_weights, node_contributions, train, evaluate
 
-from conftest import make_hin
+from conftest import lowpass_ablation, make_hin
 from oracles import (auroc_all_pairs, dense_poly_apply, dfs_meta_paths,
                      fd_gradient, grad_mismatch, walk_pairs)
 
@@ -347,12 +347,12 @@ BENCH_SPEC = SyntheticSpec(sizes=(400, 100, 100), feature_dims=(4, 8, 6),
                            train_frac=0.4, val_frac=0.2)
 
 
-def bench_config(seed: int, mode: str) -> RunConfig:
+def bench_config(seed: int) -> RunConfig:
     return RunConfig(candidates=(1, 3, 5, 7), bands=10, aligned_dim=32,
                      mlp_layers=2, path_min=2, path_max=2, degree_budget=8,
                      activation="relu", epochs=300, learning_rate=0.01,
                      weight_decay=0.01, loss_l=5.0, loss_h=7.0,
-                     filter_mode=mode, synth=BENCH_SPEC, seed=seed)
+                     synth=BENCH_SPEC, seed=seed)
 
 
 def test_c7_synthetic_detection(capsys):
@@ -360,9 +360,11 @@ def test_c7_synthetic_detection(capsys):
         results = {"chi": [], "lowpass1": []}
         for seed in range(10):
             graph = generate_synthetic_hin(BENCH_SPEC, sub_seed(seed, "synth"))
+            cfg = bench_config(seed)
             for mode in ("chi", "lowpass1"):
-                cfg = bench_config(seed, mode)
                 model = build_model(graph, cfg)
+                if mode == "lowpass1":
+                    lowpass_ablation(model)
                 train(model, graph, cfg)
                 results[mode].append(evaluate(model, graph, "test"))
 

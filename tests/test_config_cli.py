@@ -82,6 +82,12 @@ class TestParsing:
         # every shift operator is the normalized Laplacian: no operator key
         with pytest.raises(ValueError, match="config line 1: unknown key 'operator'"):
             parse_config("operator = adjacency")
+        # the low-pass ablation is a filter swap on a built model, and the
+        # profiling cap is the constant spectral.DEFAULT_EIG_CAP: no keys
+        with pytest.raises(ValueError, match="config line 1: unknown key 'filter_mode'"):
+            parse_config("filter_mode = lowpass1")
+        with pytest.raises(ValueError, match="config line 1: unknown key 'eig_cap'"):
+            parse_config("eig_cap = 100")
 
     def test_bad_value(self):
         with pytest.raises(ValueError, match="line 1: bad value for 'bands'"):

@@ -168,6 +168,19 @@ class TestStrictIngestion:
         with pytest.raises(GraphFormatError, match=f"node type A: '{key}'"):
             hetero_graph_from_dict(doc)
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_zero_count(self, index):
+        # a node type needs at least one node, target type or not
+        doc = paper_schema_doc()
+        doc["node_types"][index].update(count=0, features=[])
+        doc["relations"] = []
+        if index == 0:
+            doc.update(labels=[], splits={})
+        name = doc["node_types"][index]["name"]
+        with pytest.raises(GraphFormatError,
+                           match=f"node type {name}: 'count' must be a positive integer"):
+            hetero_graph_from_dict(doc)
+
     @pytest.mark.parametrize("splits", [["train", "val"], [[0, 1]], "train"])
     def test_splits_not_an_object(self, splits):
         doc = paper_schema_doc()
@@ -294,9 +307,13 @@ class TestCsvLoading:
                                   "target_type": "A"}),
          "meta.json: node_types: expected a list"),
         ("edges_aa.csv", "", "edges_aa.csv: empty file"),
+        ("nodes_A.csv", "f0,label\n", "nodes_A.csv: no node rows"),
+        ("nodes_A.csv", "f0\n1\n2\n3\n",
+         "nodes_A.csv: target-type node file must carry a label column"),
     ], ids=["feature", "label", "edge", "split-id", "relation-dst", "split-cell",
             "splits-blank-line", "nodes-blank-line", "label-cell", "edge-cell",
-            "split-name", "meta-node-types", "empty-file"])
+            "split-name", "meta-node-types", "empty-file", "no-node-rows",
+            "no-label-column"])
     def test_malformed_cell_names_file_and_field(self, tmp_path, name, text, where):
         directory = self.write_one_type(tmp_path, **{name: text})
         with pytest.raises(GraphFormatError, match=re.escape(where)):

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -136,16 +137,6 @@ class TestBuild:
             fit = fit_polynomial(i, 2)
             want[:len(fit.coeffs)] += fit.coeffs
         assert np.array_equal(model.conv.coeffs, want)
-
-    def test_lowpass_ablation(self):
-        _, _, model = small_model(filter_mode="lowpass1")
-        assert len(model.conv.filters) == 1
-        assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
-        assert model.conv.coeffs.tolist() == [1.0, -0.5]
-        assert any(bank.entries for bank in model.banks.values())
-        for bank in model.banks.values():
-            for e in bank.entries:
-                assert e.poly.coeffs.tolist() == [1.0, -0.5]
 
 
 class TestForward:
@@ -474,6 +465,45 @@ class TestCheckpoint:
         load_checkpoint(stored, path)
         assert stored.plans["a"].assigned == model.plans["a"].assigned
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda h: h.pop("schema_hash"), "checkpoint header: missing field 'schema_hash'"),
+        (lambda h: h.pop("params"), "checkpoint header: missing field 'params'"),
+        (lambda h: h.pop("plan"), "checkpoint header: missing field 'plan'"),
+        (lambda h: h.update(plan=[]), "checkpoint header, field 'plan': expected an object"),
+        (lambda h: h["plan"].update(b=3), "checkpoint header, field 'plan': expected"),
+    ], ids=["no-schema-hash", "no-params", "no-plan", "plan-list", "type-entry-int"])
+    def test_malformed_header(self, tmp_path, edit, where):
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        rewrite_header(path, edit)
+        for read in (lambda: checkpoint_plan(str(path)),
+                     lambda: load_checkpoint(model, str(path))):
+            with pytest.raises(ValueError, match=re.escape(where)):
+                read()
+
+    @pytest.mark.parametrize("node_type, key, value", [
+        ("b", "assigned", {"all": "x"}),
+        ("b", "assigned", {"all": 4}),
+        ("b", "representatives", {"all": 2}),
+        ("a", "representatives", {"low": 1, "mid": 1, "high": 2}),
+        ("b", "band_max", {"all": "x"}),
+        ("b", "scores", 5),
+        ("b", "labels", 3),
+        ("b", "degenerate", "yes"),
+        ("b", "assigned", ["all"]),
+    ], ids=["assigned-str", "assigned-not-candidate", "rep-past-list",
+            "rep-other-division", "band-max-str", "scores-int", "labels-int",
+            "degenerate-str", "assigned-list"])
+    def test_malformed_plan_field(self, tmp_path, node_type, key, value):
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        rewrite_header(path, lambda h: h["plan"][node_type].update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"stored filter plan, node type '{node_type}', field '{key}'")):
+            build_model(g, cfg, plan=checkpoint_plan(str(path)))
+
     def test_layout_mismatch(self, tmp_path):
         g, cfg, model = small_model()
         path = tmp_path / "m.ckpt"
@@ -531,14 +561,6 @@ class TestChiGnn:
         logits = h @ p["mlp.1.W"] + p["mlp.1.b"]
         assert np.allclose(prob, softmax_rows(logits), rtol=0.0, atol=1e-12)
 
-    def test_lowpass_mode(self):
-        _, _, model = one_type_model(filter_mode="lowpass1")
-        assert len(model.conv.filters) == 1
-        assert model.conv.filters[0].coeffs.tolist() == [1.0, -0.5]
-        assert model.conv.coeffs.tolist() == [1.0, -0.5]
-        assert [e.poly.coeffs.tolist() for e in model.banks["n"].entries] \
-            == [[1.0, -0.5]]
-
     def test_empty_filter_set(self):
         with pytest.raises(ValueError, match="empty filter set"):
             summed_coeffs([])
@@ -547,7 +569,7 @@ class TestChiGnn:
 @pytest.fixture(scope="module")
 def c7_graph():
     """The acceptance-c7 benchmark graph and config, seed 0, one epoch."""
-    cfg = bench_config(0, "chi")
+    cfg = bench_config(0)
     cfg.epochs = 1
     return generate_synthetic_hin(BENCH_SPEC, sub_seed(0, "synth")), cfg
 
