@@ -4,14 +4,15 @@ Just enough machinery to train the model: a Tape records Nodes in creation
 order (which is automatically a topological order), and backward() walks the
 list in exact reverse, accumulating gradients additively across fan-out.
 Learnable tensors are dense; sparse graph operators enter only as fixed
-constants inside sparse_poly_apply, or already applied, as the precomputed
-powers that basis_combine weighs.  One tape serves one forward/backward pass;
-a finished tape refuses a second backward and has released every backward
-closure, so the arrays they captured are freed with the last reference.  Its
-nodes also drop their reference back to it, which breaks the tape <-> node
-cycle: a finished tape, with every value and grad it holds, is freed by
-reference counting once the caller lets go, not at the next cyclic garbage
-collection.  A tape that will run no backward is finished by release().
+constants inside sparse_poly_apply and cheb_apply, or already applied, as the
+precomputed powers that basis_combine weighs.  One tape serves one
+forward/backward pass; a finished tape refuses a second backward and has
+released every backward closure, so the arrays they captured are freed with
+the last reference.  Its nodes also drop their reference back to it, which
+breaks the tape <-> node cycle: a finished tape, with every value and grad it
+holds, is freed by reference counting once the caller lets go, not at the
+next cyclic garbage collection.  A tape that will run no backward is finished
+by release().
 """
 
 from __future__ import annotations
@@ -239,6 +240,44 @@ def _dw(cvals, w: float, powers, g) -> float:
     for k in range(1, len(cvals)):
         dw += cvals[k] * k * w ** (k - 1) * float((g * powers[k]).sum())
     return dw
+
+
+def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
+    """sum_k a_k T_k(M/2) x by Clenshaw's recurrence: one product with M per
+    degree, and in-place updates into one reused scratch buffer.
+
+        b_k = a_k x + M b_(k+1) - b_(k+2),    y = a_0 x + (M b_1)/2 - b_2
+    """
+    a = np.asarray(cheb, dtype=np.float64)
+    scratch = np.empty_like(x)
+    b1 = np.multiply(x, a[-1])
+    if len(a) == 1:
+        return b1
+    b2 = np.zeros_like(x)
+    for ak in a[-2:0:-1]:
+        b = M @ b1
+        b -= b2
+        b += np.multiply(x, ak, out=scratch)
+        b1, b2 = b, b1
+    y = M @ b1
+    y *= 0.5
+    y -= b2
+    y += np.multiply(x, a[0], out=scratch)
+    return y
+
+
+def cheb_apply(cheb, M, x: Node) -> Node:
+    """y = sum_k a_k T_k(M/2) x for fixed Chebyshev coefficients and a fixed
+    symmetric sparse M.  With M = 2(S - I) this is p(S) x for the polynomial
+    p(w) = sum_k a_k T_k(w - 1) on [0, 2].  M is symmetric, so the gradient to
+    x is the same series applied to the incoming gradient; nothing reaches M
+    or the coefficients."""
+    if M.shape[0] != M.shape[1] or x.value.shape[0] != M.shape[0]:
+        raise ValueError(
+            f"operator {M.shape} does not fit signal rows {x.value.shape[0]}")
+    out = Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply", [x])
+    out.backward_fn = lambda g: x.accumulate(clenshaw(cheb, M, g))
+    return out
 
 
 def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:

@@ -132,18 +132,27 @@ def admissibility_closed_form(i: int) -> float:
 
 @dataclass
 class PolyFilter:
-    """Monomial-basis polynomial approximation of a frequency response."""
+    """Polynomial approximation of a frequency response on [0, 2], held in two
+    bases: monomial coefficients in w, and Chebyshev coefficients of
+    T_k(w - 1).  Without `cheb`, the monomial coefficients are converted."""
     coeffs: np.ndarray  # ascending powers, length degree+1
     degree: int
     fit_error_linf: float
+    cheb: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.cheb is None:
+            self.cheb = npoly.Polynomial(self.coeffs).convert(
+                kind=ncheb.Chebyshev, domain=[0.0, FREQ_MAX]).coef
 
     def __call__(self, w):
         return npoly.polyval(np.asarray(w, dtype=np.float64), self.coeffs)
 
 
 def fit_grid_polynomial(w: np.ndarray, y: np.ndarray, degree: int) -> PolyFilter:
-    """Least-squares polynomial fit of sampled values, Chebyshev basis mapped
-    onto the sample interval, returned in the monomial basis.
+    """Least-squares polynomial fit of sampled values on a grid over [0, 2],
+    in the Chebyshev basis of that interval; the monomial coefficients are
+    converted from it.
 
     The recorded L-inf error is evaluated in the Chebyshev basis: it measures
     the fitted polynomial itself, not the float damage the monomial conversion
@@ -151,12 +160,15 @@ def fit_grid_polynomial(w: np.ndarray, y: np.ndarray, degree: int) -> PolyFilter
     """
     if len(w) < degree + 1:
         raise ValueError("grid too small for the requested degree")
-    cheb = ncheb.Chebyshev.fit(w, y, degree, domain=[w[0], w[-1]])
-    mono = cheb.convert(kind=npoly.Polynomial, domain=[w[0], w[-1]], window=[w[0], w[-1]])
+    if w[0] != 0.0 or w[-1] != FREQ_MAX:
+        raise ValueError(f"grid must span [0, {FREQ_MAX}], got [{w[0]}, {w[-1]}]")
+    cheb = ncheb.Chebyshev.fit(w, y, degree, domain=[0.0, FREQ_MAX])
+    mono = cheb.convert(kind=npoly.Polynomial, domain=[0.0, FREQ_MAX],
+                        window=[0.0, FREQ_MAX])
     coeffs = np.zeros(degree + 1)
     coeffs[: len(mono.coef)] = mono.coef
     err = float(np.max(np.abs(cheb(w) - y)))
-    return PolyFilter(coeffs, degree, err)
+    return PolyFilter(coeffs, degree, err, cheb.coef)
 
 
 def fit_polynomial(i: int, d: int = 3, grid_size: int | None = None) -> PolyFilter:

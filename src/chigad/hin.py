@@ -150,13 +150,13 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     Raises GraphFormatError on malformed input, dangling edge endpoints,
     overlapping split masks, or masked nodes without labels, and names the
     field for a top level that is not an object, a missing spec field,
-    node_types, relations or labels that are not a list, a name or
-    target_type that is not a string, a count that is not a positive integer
-    (a node type needs at least one node) or a feature_dim that is not a
-    non-negative integer, a feature that is not a finite number or a ragged
-    feature row, a non-integer edge or split id, a label other than 0, 1 or
-    null, splits that are not an object, or a split key other than
-    train/val/test.
+    node_types, relations, labels, a relation's edges or a split that are not
+    a list, a name or target_type that is not a string, a count that is not a
+    positive integer (a node type needs at least one node) or a feature_dim
+    that is not a non-negative integer, a feature that is not a finite number
+    or a ragged feature row, a non-integer edge or split id, a label other
+    than 0, 1 or null, splits that are not an object, or a split key other
+    than train/val/test.
     """
     try:
         with open(path) as fh:
@@ -248,7 +248,8 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
         rel_names.add(name)
         if src not in node_counts or dst not in node_counts:
             raise GraphFormatError(f"relation {name}: unknown endpoint type")
-        edges = _field(spec, "edges", f"relation {name}")
+        edges = _list(_field(spec, "edges", f"relation {name}"),
+                      f"relation {name}: edges", "[u, v] pairs")
         n_src, n_dst = node_counts[src], node_counts[dst]
         if edges:
             arr = _id_array(edges, f"relation {name}: edges")
@@ -281,7 +282,8 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
     n_t = node_counts[target]
     masks = {}
     for split in SPLITS:
-        ids = _id_array(doc["splits"].get(split, []), f"split '{split}'")
+        what = f"split '{split}'"
+        ids = _id_array(_list(doc["splits"].get(split, []), what, "node ids"), what)
         mask = np.zeros(n_t, dtype=bool)
         if ids.size:
             if ids.min() < 0 or ids.max() >= n_t:

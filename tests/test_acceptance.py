@@ -182,6 +182,10 @@ def test_c4_gradients(capsys):
                 ad.sparse_poly_apply(coeffs, S, n[0], meta_weight=n[1])), [F, w], OP_TOL)
             count += 1
 
+            cheb = rng.standard_normal(5)
+            _fd_check(lambda t, n: ad.node_sum(ad.cheb_apply(cheb, S, n[0])), [F], OP_TOL)
+            count += 1
+
             P, Q = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
             _fd_check(lambda t, n: ad.node_sum(ad.row_slice(ad.vstack([n[0], n[1]]), 1, 4)),
                       [P, Q], OP_TOL)
@@ -226,7 +230,7 @@ def test_c4_gradients(capsys):
                 assert grad_mismatch(analytic, numeric) < MODEL_TOL, \
                     f"seed {seed} param {name}"
             count += 1
-        assert count == 50
+        assert count == 55
 
 
 def test_c5_oracle_equivalence(capsys):

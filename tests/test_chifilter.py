@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial import chebyshev as ncheb
 from scipy import integrate
 from scipy.special import gammainc
 
-from chigad.chifilter import (admissibility_closed_form, admissibility_integral,
-                              apply_filter, chi_mode, chi_moments, chi_response,
-                              fit_grid_polynomial, fit_polynomial,
-                              normalization_constant)
+from chigad.autodiff import Tape, cheb_apply
+from chigad.chifilter import (PolyFilter, admissibility_closed_form,
+                              admissibility_integral, apply_filter, chi_mode,
+                              chi_moments, chi_response, fit_grid_polynomial,
+                              fit_polynomial, normalization_constant)
+from chigad.config import DEFAULT_CANDIDATES
 from chigad.hin import laplacian
+from chigad.model import summed_coeffs
 
 CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -153,11 +157,24 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_polynomial(4, 3, grid_size=8)
 
+    def test_grid_must_span_frequency_axis(self):
+        # the Chebyshev coefficients are those of T_k(w - 1) on [0, 2]
+        w = np.linspace(0, 1, 64)
+        with pytest.raises(ValueError, match=r"grid must span \[0, 2.0\]"):
+            fit_grid_polynomial(w, np.ones_like(w), 4)
+
     def test_monomial_evaluation_matches_response(self):
         # at low degree the monomial form is still numerically fine
         pf = fit_polynomial(2, 3)
         w = np.linspace(0, 2, 200)
         assert np.max(np.abs(pf(w) - chi_response(2, w))) < 0.05
+
+    def test_chebyshev_and_monomial_bases_agree(self):
+        # a fit keeps its Chebyshev coefficients; a hand-built filter converts
+        w = np.linspace(0, 2, 200)
+        for pf in (fit_polynomial(3, 3), PolyFilter(np.array([1.0, -0.5]), 1, 0.0)):
+            assert len(pf.cheb) == pf.degree + 1
+            assert np.max(np.abs(ncheb.chebval(w - 1.0, pf.cheb) - pf(w))) < 1e-12
 
 
 def _edge_laplacian():
@@ -210,3 +227,27 @@ class TestApply:
             reach = i - 1 + d
             assert np.all(y[reach + 1:] == 0.0), f"i={i}"
             assert np.any(y[:reach + 1] != 0.0)
+
+
+@pytest.fixture(scope="module")
+def random_spectrum():
+    """A 300-node random graph's normalized Laplacian S, the matrix 2(S - I)
+    the Chebyshev recurrence applies, and S's eigendecomposition."""
+    rng = np.random.default_rng(21)
+    a = np.triu(rng.random((300, 300)) < 0.02, 1).astype(float)
+    S = laplacian(sp.csr_matrix(a + a.T))
+    lam, U = np.linalg.eigh(S.toarray())
+    return sp.csr_matrix(2.0 * (S - sp.eye(300))), lam, U
+
+
+@pytest.mark.parametrize("i", sorted(set(DEFAULT_CANDIDATES)) + ["sum"])
+def test_chebyshev_apply_matches_eigh(random_spectrum, i):
+    # the applied series against U p(Lambda) U^T x for the same series p:
+    # this gates the basis, not the fit (the monomial form reaches 1e57 at 128)
+    M, lam, U = random_spectrum
+    cands = sorted(set(DEFAULT_CANDIDATES)) if i == "sum" else [i]
+    cheb = summed_coeffs([fit_polynomial(k, 3) for k in cands])
+    X = np.random.default_rng(4).standard_normal((300, 3))
+    got = cheb_apply(cheb, M, Tape().leaf(X)).value
+    want = U @ (ncheb.chebval(lam - 1.0, cheb)[:, None] * (U.T @ X))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

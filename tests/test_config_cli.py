@@ -12,8 +12,8 @@ from chigad.cli import main
 from chigad.config import (DEFAULT_CANDIDATES, RunConfig, config_to_dict,
                            load_config, parse_config, sub_seed)
 from chigad.hin import load_hetero_graph, save_hetero_graph
-from chigad.model import (CHECKPOINT_V1_MAGIC, build_model, checkpoint_plan,
-                          forward_pass, load_checkpoint)
+from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC, build_model,
+                          checkpoint_plan, forward_pass, load_checkpoint)
 from chigad.training import split_metrics
 from conftest import make_one_type_hin
 from test_model import refeatured, rewrite_header
@@ -346,6 +346,7 @@ class TestCliErrors:
         assert err.startswith("error:")
         assert needle in err
         assert err.strip().count("\n") == 0
+        return err
 
     def test_missing_graph_key(self, tmp_path, capsys):
         self.check_error(capsys, ["metapaths", "--out", str(tmp_path / "o")],
@@ -367,6 +368,13 @@ class TestCliErrors:
         self.check_error(capsys, ["eval", "--config", cfg, "--out", str(run)],
                          "re-run train")
 
+    def test_eval_v2_checkpoint(self, tmp_path, capsys):
+        _, cfg, run = TestCliGraphCommands().trained(tmp_path)
+        rewrite_header(run / "model.ckpt", lambda h: h.update(magic=CHECKPOINT_V2_MAGIC))
+        err = self.check_error(capsys, ["eval", "--config", cfg, "--out", str(run)],
+                               "re-run train")
+        assert f"checkpoint format {CHECKPOINT_V2_MAGIC} " in err
+
     def test_eval_without_checkpoint(self, tmp_path, capsys):
         gpath = TestCliGraphCommands().synth_graph(tmp_path)
         cfg = write_cfg(tmp_path / "c.cfg", [f"graph = {gpath}"] + SMALL_TRAIN)
@@ -377,7 +385,8 @@ class TestCliErrors:
 class TestCliImport:
     def test_no_quadrature_or_stats_on_import(self):
         # every command pays the import; quadrature and scipy.stats stay off
-        # it, and planning loads neither scipy.sparse.csgraph nor scipy.linalg
+        # it, and neither planning nor a forward and backward pass loads
+        # scipy.sparse.csgraph or scipy.linalg
         src = os.path.dirname(os.path.dirname(chigad.__file__))
         code = (
             "import sys, chigad.cli\n"
@@ -390,8 +399,15 @@ class TestCliImport:
             "feature_dims=(3, 3, 3)), 0)\n"
             "tp = plan_type(g, g.target_type, RunConfig(candidates=(1, 3), bands=3))\n"
             "assert tp.profiles\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "from chigad.model import build_model, forward_pass\n"
+            "from chigad.autodiff import node_sum\n"
+            "model = build_model(g, RunConfig(candidates=(1, 3), bands=3, aligned_dim=4))\n"
+            "fp = forward_pass(model, g)\n"
+            "fp.tape.backward(node_sum(fp.logits))\n"
+            "assert fp.param_nodes['mlp.0.W'].grad is not None\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["[]", "[]"]
+        assert done.stdout.split() == ["[]", "[]", "[]"]

@@ -181,6 +181,20 @@ class TestStrictIngestion:
                            match=f"node type {name}: 'count' must be a positive integer"):
             hetero_graph_from_dict(doc)
 
+    @pytest.mark.parametrize("edges", [0, {}, "", False])
+    def test_edges_not_a_list(self, edges):
+        doc = paper_schema_doc()
+        doc["relations"][0]["edges"] = edges
+        with pytest.raises(GraphFormatError, match="relation compose: edges: expected a list"):
+            hetero_graph_from_dict(doc)
+
+    def test_split_not_a_list(self):
+        # a scalar id used to load as a one-node split
+        doc = paper_schema_doc()
+        doc["splits"]["train"] = 0
+        with pytest.raises(GraphFormatError, match="split 'train': expected a list"):
+            hetero_graph_from_dict(doc)
+
     @pytest.mark.parametrize("splits", [["train", "val"], [[0, 1]], "train"])
     def test_splits_not_an_object(self, splits):
         doc = paper_schema_doc()

@@ -10,11 +10,13 @@ from chigad import autodiff as ad
 from chigad.chifilter import PolyFilter, fit_polynomial
 from chigad.config import RunConfig, sub_seed
 from chigad.hin import hetero_graph_from_dict, hetero_graph_to_dict
-from chigad.model import (CHECKPOINT_V1_MAGIC, build_model, chigad_forward,
-                          checkpoint_plan, forward_pass, graph_signature,
-                          load_checkpoint, multi_graph_forward, plan_document,
-                          plan_type, save_checkpoint, softmax_rows, summed_coeffs)
-from chigad.synthetic import generate_synthetic_hin
+from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
+                          MetaGraphConvLayer, build_model, chigad_forward,
+                          checkpoint_plan, cut_series, forward_pass,
+                          graph_signature, load_checkpoint, multi_graph_forward,
+                          plan_document, plan_type, save_checkpoint, softmax_rows,
+                          summed_coeffs)
+from chigad.synthetic import SyntheticSpec, generate_synthetic_hin
 from chigad.training import train
 from conftest import make_hin, make_one_type_hin
 from oracles import dense_poly_apply
@@ -131,12 +133,12 @@ class TestBuild:
         degrees = [f.degree for f in model.conv.filters]
         # sorted unique candidates 1,2,3 with degree rule i-1+d
         assert degrees == [1 - 1 + 2, 2 - 1 + 2, 3 - 1 + 2]
-        # applied as one polynomial: their fits summed, zero-padded
+        # applied as one series: their Chebyshev fits summed, zero-padded, cut
         want = np.zeros(3 - 1 + 2 + 1)
         for i in (1, 2, 3):
             fit = fit_polynomial(i, 2)
-            want[:len(fit.coeffs)] += fit.coeffs
-        assert np.array_equal(model.conv.coeffs, want)
+            want[:len(fit.cheb)] += fit.cheb
+        assert np.array_equal(model.conv.cheb, cut_series(want))
 
 
 class TestForward:
@@ -400,6 +402,17 @@ class TestCheckpoint:
                 read()
             assert "\n" not in str(err.value)
 
+    def test_v2_checkpoint_rejected(self, tmp_path):
+        # v2 weights were trained against the monomial conv
+        g, cfg, model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        rewrite_header(path, lambda h: h.update(magic=CHECKPOINT_V2_MAGIC))
+        for read in (lambda: checkpoint_plan(str(path)),
+                     lambda: load_checkpoint(model, str(path))):
+            with pytest.raises(ValueError, match=f"{CHECKPOINT_V2_MAGIC} .*re-run train"):
+                read()
+
     def test_trailing_bytes_rejected(self, tmp_path):
         g, cfg, model = small_model()
         path = tmp_path / "m.ckpt"
@@ -492,9 +505,15 @@ class TestCheckpoint:
         ("b", "labels", 3),
         ("b", "degenerate", "yes"),
         ("b", "assigned", ["all"]),
+        ("b", "scores", [1.0]),
+        ("b", "scores", [1.0, 2.0, 3.0]),
+        ("b", "scores", [1.0, None]),
+        ("b", "scores", [1.0, "x"]),
+        ("b", "scores", [True, 1.0]),
     ], ids=["assigned-str", "assigned-not-candidate", "rep-past-list",
             "rep-other-division", "band-max-str", "scores-int", "labels-int",
-            "degenerate-str", "assigned-list"])
+            "degenerate-str", "assigned-list", "scores-short", "scores-long",
+            "scores-null", "scores-str", "scores-bool"])
     def test_malformed_plan_field(self, tmp_path, node_type, key, value):
         g, cfg, model = small_model()
         path = tmp_path / "m.ckpt"
@@ -553,7 +572,8 @@ class TestChiGnn:
         for e in bank.entries:
             e.poly = PolyFilter(np.array([1.0]), 0, 0.0)
         bank.features = None            # recache the powers for the new degree
-        model.conv.coeffs = np.array([1.0])
+        model.conv = MetaGraphConvLayer(model.conv.operator,
+                                        [PolyFilter(np.array([1.0]), 0, 0.0)])
         prob, _ = chigad_forward(model, g)
         p = model.params
         h = np.maximum(g.features["n"] @ p["W_align[n]"], 0.0)
@@ -603,7 +623,7 @@ class TestBenchGraph:
         model = build_model(graph, cfg)
         S = model.conv.operator
         H = np.random.default_rng(3).standard_normal((S.shape[0], cfg.aligned_dim))
-        got = ad.sparse_poly_apply(model.conv.coeffs, S, ad.Tape().leaf(H)).value
+        got = ad.cheb_apply(model.conv.cheb, model.conv.matrix, ad.Tape().leaf(H)).value
         dense = S.toarray()
         want = sum(dense_poly_apply(f.coeffs, dense, H) for f in model.conv.filters)
         assert len(model.conv.filters) == len(set(cfg.candidates))
@@ -611,15 +631,35 @@ class TestBenchGraph:
 
     def test_epoch_matvec_counts(self, c7_graph):
         # one training epoch: the banks weigh cached powers (no products) and
-        # the convolution is one polynomial, applied forward and transposed
+        # the convolution is one cut Chebyshev series, applied forward and to
+        # the gradient, one product with 2(S - I) per degree
         graph, cfg = c7_graph
         model = build_model(graph, cfg)
         bank_calls, conv_calls = [0], [0]
         for bank in model.banks.values():
             for e in bank.entries:
                 e.operator = counted(e.operator, bank_calls)
-        model.conv.operator = counted(model.conv.operator, conv_calls)
+        model.conv.matrix = counted(model.conv.matrix, conv_calls)
         train(model, graph, cfg)
-        max_degree = max(f.degree for f in model.conv.filters)
+        cut_degree = len(model.conv.cheb) - 1
         assert bank_calls[0] == 0
-        assert conv_calls[0] == 2 * max_degree == 28
+        assert conv_calls[0] == 2 * cut_degree == 28
+        # the c7 series' tail is already below the cut: nothing drops
+        assert len(summed_coeffs(model.conv.filters)) == len(model.conv.cheb)
+
+
+def test_defaults_conv_cut_matches_uncut():
+    # the defaults' 17 candidates sum to a degree-130 series; cut at build it
+    # keeps 40 coefficients and stays within 1e-9 of the uncut series
+    cfg = RunConfig()
+    graph = generate_synthetic_hin(SyntheticSpec(), sub_seed(0, "synth"))
+    conv = build_model(graph, cfg).conv
+    full = summed_coeffs(conv.filters)
+    assert (len(full), len(conv.cheb)) == (131, 40)
+    H = np.random.default_rng(5).standard_normal((conv.operator.shape[0], 16))
+    got = ad.clenshaw(conv.cheb, conv.matrix, H)
+    want = ad.clenshaw(full, conv.matrix, H)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    # S's unit diagonal is not stored in 2(S - I)
+    unit_diagonal = np.count_nonzero(conv.operator.diagonal() == 1.0)
+    assert conv.matrix.nnz == conv.operator.nnz - unit_diagonal
