@@ -13,11 +13,17 @@ breaks the tape <-> node cycle: a finished tape, with every value and grad it
 holds, is freed by reference counting once the caller lets go, not at the
 next cyclic garbage collection.  A tape that will run no backward is finished
 by release().
+
+Gradients accumulate in place: a node's first gradient is stored as a copy
+of the incoming one, and later ones are added into it.  cheb_apply's
+recurrence allocates nothing per degree: it works in three buffers made once
+per application and adds each sparse product straight into one of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 
 class Tape:
@@ -74,9 +80,12 @@ class Node:
         tape.nodes.append(self)
 
     def accumulate(self, g) -> None:
+        # the first gradient is copied, never kept: add hands one g to both
+        # parents, and either may later add into its grad in place
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=np.float64)
+        else:
+            self.grad += g
 
     @property
     def shape(self):
@@ -243,27 +252,46 @@ def _dw(cvals, w: float, powers, g) -> float:
 
 
 def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
-    """sum_k a_k T_k(M/2) x by Clenshaw's recurrence: one product with M per
-    degree, and in-place updates into one reused scratch buffer.
+    """sum_k a_k T_k(M/2) x by Clenshaw's recurrence, with one product with M
+    per degree.
 
-        b_k = a_k x + M b_(k+1) - b_(k+2),    y = a_0 x + (M b_1)/2 - b_2
+        b_k = a_k x + M b_(k+1) - b_(k+2),    y = a_0 x + M (b_1 / 2) - b_2
+
+    Nothing is allocated per degree: three buffers are made once per call,
+    the recurrence makes two elementwise passes per degree into them, and
+    csr_matvecs adds M b_(k+1) straight into the buffer that holds
+    a_k x - b_(k+2).  It writes through ravel(), which copies a non-contiguous
+    array, so every array it touches is a C-contiguous buffer of this call;
+    the returned one is fresh too, and x is never written.  An M that is not
+    a float64 CSR matrix is applied by its own product and one more pass.
     """
     a = np.asarray(cheb, dtype=np.float64)
-    scratch = np.empty_like(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     b1 = np.multiply(x, a[-1])
     if len(a) == 1:
         return b1
+    n = M.shape[0]
+    width = x.shape[1] if x.ndim == 2 else 1
+    if getattr(M, "format", None) == "csr" and M.dtype == np.float64:
+        def add_product(src, dst):
+            _sparsetools.csr_matvecs(n, n, width, M.indptr, M.indices, M.data,
+                                     src.ravel(), dst.ravel())
+    else:   # any other linear operator: its product, then one more pass
+        def add_product(src, dst):
+            dst += M @ src
+
     b2 = np.zeros_like(x)
+    scratch = np.empty_like(x)
     for ak in a[-2:0:-1]:
-        b = M @ b1
-        b -= b2
-        b += np.multiply(x, ak, out=scratch)
-        b1, b2 = b, b1
-    y = M @ b1
-    y *= 0.5
-    y -= b2
-    y += np.multiply(x, a[0], out=scratch)
-    return y
+        np.multiply(x, ak, out=scratch)
+        np.subtract(scratch, b2, out=b2)
+        add_product(b1, b2)
+        b1, b2 = b2, b1
+    np.multiply(x, a[0], out=scratch)
+    np.subtract(scratch, b2, out=b2)
+    b1 *= 0.5
+    add_product(b1, b2)
+    return b2
 
 
 def cheb_apply(cheb, M, x: Node) -> Node:
@@ -359,9 +387,10 @@ def row_slice(x: Node, start: int, stop: int) -> Node:
     out = Node(x.tape, x.value[start:stop].copy(), "row_slice", [x])
 
     def backward(g):
-        full = np.zeros_like(x.value)
-        full[start:stop] = g
-        x.accumulate(full)
+        # added into the parent's rows: no full-size copy of g is built
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        x.grad[start:stop] += g
 
     out.backward_fn = backward
     return out

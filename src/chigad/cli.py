@@ -44,7 +44,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+CHEB_BASIS = "T_k(w - 1) on [0, 2]"
+
+
 def cmd_filters(cfg: RunConfig, out: str) -> int:
+    """One row per candidate.  `cheb` holds the fitted series in the basis
+    CHEB_BASIS, and `fit_error_linf` is that series' error; `coeffs` is its
+    monomial conversion, which loses all accuracy at high degree (at i = 64
+    it misses the response by about 1e18)."""
     rows, report = [], []
     for i in sorted(set(cfg.candidates)):
         s_i = normalization_constant(i)
@@ -54,17 +61,20 @@ def cmd_filters(cfg: RunConfig, out: str) -> int:
         pf = fit_polynomial(i, cfg.degree_budget)
         rows.append([i, _fmt(s_i), _fmt(mode), _fmt(expectation), _fmt(variance),
                      adm, _fmt(pf.fit_error_linf),
-                     ";".join(_fmt(c) for c in pf.coeffs)])
+                     ";".join(_fmt(c) for c in pf.coeffs),
+                     ";".join(_fmt(c) for c in pf.cheb)])
         report.append({
             "i": i, "normalization": s_i, "mode": mode,
             "expectation": expectation, "variance": variance,
             "admissibility": None if i == 1 else admissibility_integral(i),
             "degree": pf.degree, "fit_error_linf": pf.fit_error_linf,
             "coeffs": [float(c) for c in pf.coeffs],
+            "cheb": [float(c) for c in pf.cheb], "cheb_basis": CHEB_BASIS,
+            "fit_error_series": "cheb",
         })
     _write_csv(os.path.join(out, "filters.csv"),
                ["i", "S_i", "mode", "expectation", "variance",
-                "admissibility", "fit_error_linf", "coeffs"], rows)
+                "admissibility", "fit_error_linf", "coeffs", "cheb"], rows)
     _write_json(os.path.join(out, "filters.json"), report)
     return 0
 
@@ -211,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chi-Square graph wavelet anomaly detection on heterogeneous graphs")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("filters", "dump the candidate filter table (CSV + JSON)"),
+        ("filters", "dump the candidate filter table (CSV + JSON); the fit error "
+                    f"is that of the cheb series in {CHEB_BASIS}"),
         ("metapaths", "list meta-paths, divisions, and representatives"),
         ("analyze", "dump spectral profiles of the division representatives"),
         ("synth", "generate a synthetic labeled graph"),

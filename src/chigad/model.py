@@ -367,6 +367,7 @@ class ForwardPass:
     logits: ad.Node
     rep: ad.Node                 # pre-head representation X' of the target block
     param_nodes: dict[str, ad.Node]
+    conv_input: ad.Node          # activated, stacked rows the convolution reads
 
     def __del__(self):
         if not self.tape.finalized:
@@ -420,7 +421,7 @@ def forward_pass(model: ChiGadModel, graph: HeteroGraph) -> ForwardPass:
         z = ad.add_bias(ad.matmul(h, pnodes[f"mlp.{k}.W"]), pnodes[f"mlp.{k}.b"])
         h = z if k == model.mlp_layers - 1 else ad.activation(z, model.activation)
 
-    return ForwardPass(tape, softmax_rows(h.value), h, rep, pnodes)
+    return ForwardPass(tape, softmax_rows(h.value), h, rep, pnodes, activated)
 
 
 def chigad_forward(model: ChiGadModel, graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,10 @@ class CcLossConfig:
             raise ValueError("loss weights must satisfy H >= L >= 1")
 
 
+class DegenerateRepresentation(ValueError):
+    """Every feature dimension of X' has a degenerate Rayleigh denominator."""
+
+
 @dataclass
 class ContributionVector:
     values: np.ndarray          # c_i per target node
@@ -61,8 +65,8 @@ def node_contributions(Xp: np.ndarray, L, restrict: np.ndarray | None = None) ->
     denoms = (Xp * LX).sum(axis=0)
     used = [j for j in range(Xp.shape[1]) if denoms[j] >= DENOM_FLOOR]
     if not used:
-        raise ValueError("contributions undefined: every dimension has a "
-                         "degenerate Rayleigh denominator")
+        raise DegenerateRepresentation("contributions undefined: every dimension "
+                                       "has a degenerate Rayleigh denominator")
     values = np.zeros(Xp.shape[0])
     for j in used:
         values += Xp[:, j] * LX[:, j] / denoms[j]
@@ -90,7 +94,15 @@ class Adam:
 
     weight_decay adds an L2 penalty gradient before the moment updates, so
     near convergence the shrinkage direction keeps a full-size adaptive step;
-    this is what pulls the fit away from interpolating individual nodes."""
+    this is what pulls the fit away from interpolating individual nodes.
+
+    Each parameter array, and its moments, keep their identity across steps:
+    the update runs in two scratch buffers that all parameters share, in the
+    operation order of m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+    p = p - (lr m_hat) / (sqrt(v_hat) + eps), so its bits are those of the
+    textbook expressions.  The 0-d w^S parameters go through out= arrays too,
+    since arithmetic on a 0-d array returns a scalar.  A tape's parameter
+    leaves alias these arrays, so a pass runs its backward before the step."""
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -101,22 +113,34 @@ class Adam:
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        size = max((v.size for v in params.values()), default=0)
+        self.scratch = (np.empty(size), np.empty(size))
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
                 continue
+            m, v = self.m[name], self.v[name]
+            s1, s2 = (buf[:p.size].reshape(p.shape) for buf in self.scratch)
             if self.weight_decay:
-                g = g + self.weight_decay * p
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            self.params[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                np.multiply(p, self.weight_decay, out=s1)
+                g = np.add(g, s1, out=s1)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=s2)
+            v *= b2
+            np.multiply(g, 1 - b2, out=s2)
+            v += np.multiply(s2, g, out=s2)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, self.eps, out=s2)
+            np.divide(m, c1, out=s1)
+            np.multiply(s1, self.lr, out=s1)
+            p -= np.divide(s1, s2, out=s1)
 
 
 @dataclass
@@ -151,7 +175,17 @@ def train(model: ChiGadModel, graph: HeteroGraph, cfg: RunConfig) -> TrainRecord
     best_params = {k: v.copy() for k, v in model.params.items()}
     for epoch in range(cfg.epochs):
         fp = forward_pass(model, graph)
-        contrib = node_contributions(fp.rep.value, L_t, restrict=train_mask)
+        try:
+            contrib = node_contributions(fp.rep.value, L_t, restrict=train_mask)
+        except DegenerateRepresentation as err:
+            if not np.isfinite(fp.rep.value).all():
+                raise RuntimeError(f"training diverged: the representation became "
+                                   f"non-finite at epoch {epoch}") from err
+            dead = float(np.mean(fp.conv_input.value == 0.0))
+            raise RuntimeError(
+                f"no usable representation at epoch {epoch}: {err}; {dead:.1%} of the "
+                f"{model.activation} outputs entering the meta-graph convolution "
+                f"are zero") from err
         weights = cc_weights(contrib, labels, cc)
         loss = ad.weighted_softmax_ce(fp.logits, labels, weights, train_mask)
         if not np.isfinite(loss.value):

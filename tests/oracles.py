@@ -178,3 +178,29 @@ def grad_mismatch(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(1.0, float(np.max(np.abs(numeric))))
     return float(np.max(np.abs(analytic - numeric))) / scale
+
+
+def adam_reference(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                   weight_decay=0.0):
+    """Out-of-place Adam by its textbook expressions: every step builds fresh
+    moment and parameter arrays.  grad_steps is a list of per-step gradient
+    dicts (a missing name skips that parameter); returns the parameters
+    after each step."""
+    p = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in p.items()}
+    v = {k: np.zeros_like(a) for k, a in p.items()}
+    history = []
+    for t, grads in enumerate(grad_steps, start=1):
+        for name in p:
+            g = grads.get(name)
+            if g is None:
+                continue
+            if weight_decay:
+                g = g + weight_decay * p[name]
+            m[name] = beta1 * m[name] + (1 - beta1) * g
+            v[name] = beta2 * v[name] + (1 - beta2) * g * g
+            m_hat = m[name] / (1 - beta1 ** t)
+            v_hat = v[name] / (1 - beta2 ** t)
+            p[name] = p[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append({k: np.array(a) for k, a in p.items()})
+    return history

@@ -4,11 +4,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
-                             add_bias, basis_combine, elementwise_mul, matmul,
-                             monomial_powers, node_sum, row_slice, scale,
-                             sparse_poly_apply, vstack, weighted_softmax_ce)
+                             add_bias, basis_combine, cheb_apply, clenshaw,
+                             elementwise_mul, matmul, monomial_powers, node_sum,
+                             row_slice, scale, sparse_poly_apply, vstack,
+                             weighted_softmax_ce)
 from oracles import dense_poly_apply, fd_gradient, grad_mismatch
 
 FD_TOL = 1e-6
@@ -359,3 +361,76 @@ class TestTapeDiscipline:
         v2, g2 = run()
         assert v1 == v2
         assert np.array_equal(g1, g2)
+
+
+def symmetric_operator(n, seed=0):
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, n, density=0.05, random_state=seed, format="csr")
+    a.data = rng.standard_normal(a.nnz)
+    return sp.csr_matrix(a + a.T)
+
+
+class TestInPlaceKernels:
+    """clenshaw adds each sparse product into its own buffer through scipy's
+    private csr_matvecs; these tests fail loudly if that kernel moves or
+    changes meaning, or if the in-place code writes where it must not."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("width", [1, 512])
+    def test_csr_matvecs_accumulates_product(self, index_dtype, width):
+        n = 60
+        M = symmetric_operator(n, seed=1)
+        indptr, indices = M.indptr.astype(index_dtype), M.indices.astype(index_dtype)
+        rng = np.random.default_rng(2)
+        b = rng.standard_normal((n, width))
+        y = rng.standard_normal((n, width))
+        before, b_before = y.copy(), b.copy()
+        _sparsetools.csr_matvecs(n, n, width, indptr, indices, M.data, b.ravel(), y.ravel())
+        want = before + M @ b
+        assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(b, b_before)
+
+    @pytest.mark.parametrize("layout", ["fortran", "column_slice"])
+    def test_clenshaw_any_layout(self, layout):
+        n = 40
+        M = symmetric_operator(n, seed=3)
+        cheb = np.random.default_rng(4).standard_normal(7)
+        wide = np.random.default_rng(5).standard_normal((n, 9))
+        x = np.asfortranarray(wide) if layout == "fortran" else wide[:, 2:7]
+        assert not x.flags.c_contiguous
+        got = clenshaw(cheb, M, x)
+        assert np.array_equal(got, clenshaw(cheb, M, np.ascontiguousarray(x)))
+        # the same series by the textbook three-term recurrence
+        t_prev, t_cur = x, 0.5 * (M @ x)
+        want = cheb[0] * t_prev + cheb[1] * t_cur
+        for ak in cheb[2:]:
+            t_prev, t_cur = t_cur, M @ t_cur - t_prev
+            want = want + ak * t_cur
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cheb_apply_writes_neither_input_nor_gradient(self):
+        n = 30
+        M = symmetric_operator(n, seed=6)
+        cheb = np.random.default_rng(7).standard_normal(6)
+        rng = np.random.default_rng(8)
+        x, g = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+        x_before, g_before = x.copy(), g.copy()
+        x.flags.writeable = False
+        g.flags.writeable = False
+        t = Tape()
+        leaf = t.leaf(x)
+        y = cheb_apply(cheb, M, leaf)
+        y.backward_fn(g)
+        assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+        assert np.array_equal(y.value, clenshaw(cheb, M, x_before))
+        assert np.array_equal(leaf.grad, clenshaw(cheb, M, g_before))
+        assert not np.shares_memory(y.value, x) and not np.shares_memory(leaf.grad, g)
+
+    def test_add_parents_get_separate_gradients(self):
+        t = Tape()
+        a, b = t.leaf(np.ones((3, 2))), t.leaf(np.ones((3, 2)))
+        t.backward(node_sum(add(a, b)))
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert b.grad.tolist() == [[1.0, 1.0]] * 3

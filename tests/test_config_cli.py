@@ -1,13 +1,16 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 import chigad
 from chigad import spectral
+from chigad.chifilter import chi_response
 from chigad.cli import main
 from chigad.config import (DEFAULT_CANDIDATES, RunConfig, config_to_dict,
                            load_config, parse_config, sub_seed)
@@ -174,6 +177,25 @@ class TestCliFilters:
         assert [e["i"] for e in report] == [1, 2, 4]
         assert report[0]["admissibility"] is None
         assert "wrote" in capsys.readouterr().out
+
+    def test_cheb_series_reproduces_response(self, tmp_path):
+        # the exported Chebyshev series, evaluated in T_k(w - 1) on [0, 2],
+        # is the one fit_error_linf measures; the monomial column is not
+        cfg = write_cfg(tmp_path / "c.cfg", ["candidates = 64, 128"])
+        out = tmp_path / "out"
+        assert main(["filters", "--config", cfg, "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "filters.csv").read_text().splitlines()))
+        assert rows[0][-2:] == ["coeffs", "cheb"]
+        report = json.loads((out / "filters.json").read_text())
+        w = np.linspace(0.0, 2.0, 1024)
+        for row, entry in zip(rows[1:], report):
+            i, err = int(row[0]), float(row[6])
+            cheb = [float(c) for c in row[-1].split(";")]
+            assert cheb == entry["cheb"]
+            assert entry["cheb_basis"] == "T_k(w - 1) on [0, 2]"
+            assert entry["fit_error_series"] == "cheb"
+            gap = np.max(np.abs(ncheb.chebval(w - 1.0, cheb) - chi_response(i, w)))
+            assert gap <= err + 1e-12, i
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", ["candidates = 1, 2, 8"])

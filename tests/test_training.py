@@ -10,6 +10,7 @@ from chigad.training import (Adam, CcLossConfig, ContributionVector,
                              cc_weights, evaluate, node_contributions, train,
                              write_history_csv)
 from conftest import make_hin
+from oracles import adam_reference
 
 
 def edge_laplacian():
@@ -160,6 +161,34 @@ class TestAdam:
             ob.step({"w": np.array([0.7])})
         assert pa["w"][0] == pb["w"][0]
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_matches_out_of_place_oracle(self, weight_decay):
+        # bit for bit over 50 steps, for a 0-d w^S, a matrix and a vector,
+        # with some gradients missing; every parameter array keeps its id
+        rng = np.random.default_rng(3)
+        start = {"wS": np.asarray(1.0), "W": rng.standard_normal((4, 3)),
+                 "b": rng.standard_normal(3)}
+        steps = []
+        for k in range(50):
+            grads = {"wS": np.asarray(rng.standard_normal()),
+                     "W": rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-6, 3),
+                     "b": rng.standard_normal(3)}
+            if k % 7 == 3:
+                del grads["W"]
+            if k % 5 == 1:
+                del grads["wS"]
+            steps.append(grads)
+        want = adam_reference(start, steps, lr=0.01, weight_decay=weight_decay)
+        params = {k: v.copy() for k, v in start.items()}
+        ids = {k: id(v) for k, v in params.items()}
+        opt = Adam(params, lr=0.01, weight_decay=weight_decay)
+        for grads, ref in zip(steps, want):
+            opt.step(grads)
+            assert {k: id(v) for k, v in params.items()} == ids
+            for name, arr in params.items():
+                assert isinstance(arr, np.ndarray) and arr.shape == start[name].shape
+                assert np.array_equal(arr, ref[name]), name
+
 
 class TestTrainLoop:
     def setup_run(self, seed=0, epochs=25, lr=0.02):
@@ -202,6 +231,26 @@ class TestTrainLoop:
         g, cfg, model = self.setup_run(epochs=5)
         model.params["mlp.0.W"] = model.params["mlp.0.W"] * np.nan
         with pytest.raises(RuntimeError, match="training diverged"):
+            train(model, g, cfg)
+
+    def test_dead_representation_names_epoch(self):
+        # zero alignment weights leave every ReLU output at 0, so X' has no
+        # usable dimension; train names the epoch and the dead fraction
+        g, cfg, model = self.setup_run(epochs=3)
+        for name in model.params:
+            if name.startswith("W_align"):
+                model.params[name][:] = 0.0
+        with pytest.raises(RuntimeError, match=r"at epoch 0: .*degenerate Rayleigh.*"
+                           r"100\.0% of the relu outputs"):
+            train(model, g, cfg)
+
+    def test_non_finite_representation_is_divergence(self):
+        # a non-finite X' also has no usable dimension, but zeros are not why
+        g, cfg, model = self.setup_run(epochs=3)
+        model.params["W_align[a]"] = model.params["W_align[a]"] * np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(RuntimeError, match="diverged: the representation "
+                              "became non-finite at epoch 0"):
             train(model, g, cfg)
 
     def test_empty_split_rejected(self):
