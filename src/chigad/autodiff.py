@@ -17,7 +17,8 @@ by release().
 Gradients accumulate in place: a node's first gradient is stored as a copy
 of the incoming one, and later ones are added into it.  cheb_apply's
 recurrence allocates nothing per degree: it works in three buffers made once
-per application and adds each sparse product straight into one of them.
+per application and adds each sparse product straight into one of them with
+scipy's CSR kernel, so its operator is a float64 CSR matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Tape:
         self.finalized = False
 
     def leaf(self, value, name: str = "leaf") -> "Node":
-        return Node(self, np.asarray(value, dtype=np.float64), name, [])
+        return Node(self, np.asarray(value, dtype=np.float64), name)
 
     def backward(self, loss: "Node") -> None:
         """Populate grads of every node reachable from loss.
@@ -66,16 +67,15 @@ class Tape:
 
 
 class Node:
-    __slots__ = ("tape", "value", "grad", "op", "parents", "backward_fn")
+    __slots__ = ("tape", "value", "grad", "op", "backward_fn")
 
-    def __init__(self, tape, value, op, parents, backward_fn=None):
+    def __init__(self, tape, value, op, backward_fn=None):
         if tape is None:
             raise ValueError("operand belongs to a finished tape; build a fresh tape")
         self.tape = tape
         self.value = value
         self.grad = None
         self.op = op
-        self.parents = parents
         self.backward_fn = backward_fn
         tape.nodes.append(self)
 
@@ -106,7 +106,7 @@ def matmul(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
     if a.value.shape[-1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch {a.value.shape} x {b.value.shape}")
-    out = Node(tape, a.value @ b.value, "matmul", [a, b])
+    out = Node(tape, a.value @ b.value, "matmul")
 
     def backward(g):
         a.accumulate(g @ b.value.T)
@@ -120,7 +120,7 @@ def add(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Node(tape, a.value + b.value, "add", [a, b])
+    out = Node(tape, a.value + b.value, "add")
 
     def backward(g):
         a.accumulate(g)
@@ -135,7 +135,7 @@ def add_bias(x: Node, bias: Node) -> Node:
     tape = _tape_of(x, bias)
     if bias.value.ndim != 1 or x.value.shape[1] != bias.value.shape[0]:
         raise ValueError(f"bias shape {bias.value.shape} does not fit {x.value.shape}")
-    out = Node(tape, x.value + bias.value[None, :], "add_bias", [x, bias])
+    out = Node(tape, x.value + bias.value[None, :], "add_bias")
 
     def backward(g):
         x.accumulate(g)
@@ -150,7 +150,7 @@ def scale(a: Node, s: Node) -> Node:
     tape = _tape_of(a, s)
     if s.value.ndim != 0:
         raise ValueError("scale factor must be a scalar node")
-    out = Node(tape, a.value * s.value, "scale", [a, s])
+    out = Node(tape, a.value * s.value, "scale")
 
     def backward(g):
         a.accumulate(g * s.value)
@@ -164,7 +164,7 @@ def elementwise_mul(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"elementwise_mul shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Node(tape, a.value * b.value, "elementwise_mul", [a, b])
+    out = Node(tape, a.value * b.value, "elementwise_mul")
 
     def backward(g):
         a.accumulate(g * b.value)
@@ -191,7 +191,7 @@ def activation(x: Node, kind: str) -> Node:
     else:
         y = np.tanh(v)
         local = 1.0 - y * y
-    out = Node(_tape_of(x), y, kind, [x])
+    out = Node(_tape_of(x), y, kind)
     out.backward_fn = lambda g: x.accumulate(g * local)
     return out
 
@@ -222,8 +222,7 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
         raise ValueError(
             f"operator {S.shape} does not fit signal rows {x.value.shape[0]}")
     cvals = np.asarray(coeffs, dtype=np.float64)
-    parents = [x] if meta_weight is None else [x, meta_weight]
-    tape = _tape_of(*parents)
+    tape = _tape_of(x) if meta_weight is None else _tape_of(x, meta_weight)
     w = 1.0 if meta_weight is None else float(meta_weight.value)
 
     # powers[k] = S^k x is kept only when the w gradient needs it
@@ -231,7 +230,7 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
     if meta_weight is not None:
         powers = list(powers)
     wpow = w ** np.arange(len(cvals))
-    out = Node(tape, weighted_sum(cvals, wpow, powers), "sparse_poly_apply", parents)
+    out = Node(tape, weighted_sum(cvals, wpow, powers), "sparse_poly_apply")
 
     def backward(g):
         # dx: sum_k c_k w^k (S^T)^k g, built by iterated transpose passes
@@ -253,7 +252,7 @@ def _dw(cvals, w: float, powers, g) -> float:
 
 def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
     """sum_k a_k T_k(M/2) x by Clenshaw's recurrence, with one product with M
-    per degree.
+    per degree; M must be a float64 CSR matrix.
 
         b_k = a_k x + M b_(k+1) - b_(k+2),    y = a_0 x + M (b_1 / 2) - b_2
 
@@ -262,9 +261,11 @@ def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
     csr_matvecs adds M b_(k+1) straight into the buffer that holds
     a_k x - b_(k+2).  It writes through ravel(), which copies a non-contiguous
     array, so every array it touches is a C-contiguous buffer of this call;
-    the returned one is fresh too, and x is never written.  An M that is not
-    a float64 CSR matrix is applied by its own product and one more pass.
+    the returned one is fresh too, and x is never written.
     """
+    if getattr(M, "format", None) != "csr" or M.dtype != np.float64:
+        raise ValueError(f"operator must be a float64 CSR matrix, got {type(M).__name__}"
+                         f" of {getattr(M, 'dtype', None)}")
     a = np.asarray(cheb, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     b1 = np.multiply(x, a[-1])
@@ -272,13 +273,10 @@ def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
         return b1
     n = M.shape[0]
     width = x.shape[1] if x.ndim == 2 else 1
-    if getattr(M, "format", None) == "csr" and M.dtype == np.float64:
-        def add_product(src, dst):
-            _sparsetools.csr_matvecs(n, n, width, M.indptr, M.indices, M.data,
-                                     src.ravel(), dst.ravel())
-    else:   # any other linear operator: its product, then one more pass
-        def add_product(src, dst):
-            dst += M @ src
+
+    def add_product(src, dst):
+        _sparsetools.csr_matvecs(n, n, width, M.indptr, M.indices, M.data,
+                                 src.ravel(), dst.ravel())
 
     b2 = np.zeros_like(x)
     scratch = np.empty_like(x)
@@ -296,14 +294,14 @@ def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
 
 def cheb_apply(cheb, M, x: Node) -> Node:
     """y = sum_k a_k T_k(M/2) x for fixed Chebyshev coefficients and a fixed
-    symmetric sparse M.  With M = 2(S - I) this is p(S) x for the polynomial
+    symmetric float64 CSR matrix M.  With M = 2(S - I) this is p(S) x for the polynomial
     p(w) = sum_k a_k T_k(w - 1) on [0, 2].  M is symmetric, so the gradient to
     x is the same series applied to the incoming gradient; nothing reaches M
     or the coefficients."""
     if M.shape[0] != M.shape[1] or x.value.shape[0] != M.shape[0]:
         raise ValueError(
             f"operator {M.shape} does not fit signal rows {x.value.shape[0]}")
-    out = Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply", [x])
+    out = Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply")
     out.backward_fn = lambda g: x.accumulate(clenshaw(cheb, M, g))
     return out
 
@@ -320,8 +318,7 @@ def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
         raise ValueError(f"{len(cvals)} coefficients for a basis of {len(basis)} powers")
     w = float(meta_weight.value)
     wpow = w ** np.arange(len(cvals))
-    out = Node(meta_weight.tape, weighted_sum(cvals, wpow, basis), "basis_combine",
-               [meta_weight])
+    out = Node(meta_weight.tape, weighted_sum(cvals, wpow, basis), "basis_combine")
     out.backward_fn = lambda g: meta_weight.accumulate(np.asarray(_dw(cvals, w, basis, g)))
     return out
 
@@ -350,7 +347,7 @@ def weighted_softmax_ce(logits: Node, labels: np.ndarray, weights: np.ndarray,
     logsum = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - logsum[:, None]
     loss = -(wts * logp[np.arange(n), y]).sum() / n
-    out = Node(_tape_of(logits), np.asarray(loss), "weighted_softmax_ce", [logits])
+    out = Node(_tape_of(logits), np.asarray(loss), "weighted_softmax_ce")
 
     def backward(g):
         p = np.exp(logp)
@@ -370,7 +367,7 @@ def vstack(blocks: list[Node]) -> Node:
     widths = {b.value.shape[1] for b in blocks}
     if len(widths) != 1:
         raise ValueError(f"blocks have mixed widths {sorted(widths)}")
-    out = Node(tape, np.vstack([b.value for b in blocks]), "vstack", list(blocks))
+    out = Node(tape, np.vstack([b.value for b in blocks]), "vstack")
     offsets = np.cumsum([0] + [b.value.shape[0] for b in blocks])
 
     def backward(g):
@@ -384,7 +381,7 @@ def vstack(blocks: list[Node]) -> Node:
 def row_slice(x: Node, start: int, stop: int) -> Node:
     if not (0 <= start < stop <= x.value.shape[0]):
         raise ValueError(f"row slice [{start}:{stop}] out of range for {x.value.shape}")
-    out = Node(x.tape, x.value[start:stop].copy(), "row_slice", [x])
+    out = Node(x.tape, x.value[start:stop].copy(), "row_slice")
 
     def backward(g):
         # added into the parent's rows: no full-size copy of g is built
@@ -397,6 +394,6 @@ def row_slice(x: Node, start: int, stop: int) -> Node:
 
 
 def node_sum(x: Node) -> Node:
-    out = Node(x.tape, np.asarray(x.value.sum()), "sum", [x])
+    out = Node(x.tape, np.asarray(x.value.sum()), "sum")
     out.backward_fn = lambda g: x.accumulate(np.full_like(x.value, float(g)))
     return out

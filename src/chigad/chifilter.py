@@ -18,7 +18,7 @@ touches at most k-hop neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
@@ -132,43 +132,39 @@ def admissibility_closed_form(i: int) -> float:
 
 @dataclass
 class PolyFilter:
-    """Polynomial approximation of a frequency response on [0, 2], held in two
-    bases: monomial coefficients in w, and Chebyshev coefficients of
-    T_k(w - 1).  Without `cheb`, the monomial coefficients are converted."""
-    coeffs: np.ndarray  # ascending powers, length degree+1
-    degree: int
+    """Polynomial approximation of a frequency response on [0, 2], given by its
+    Chebyshev series in T_k(w - 1).  `coeffs`, the ascending monomial
+    coefficients in w, is converted from the series once; the conversion
+    loses all accuracy at high degree, so a call evaluates the series."""
+    cheb: np.ndarray
     fit_error_linf: float
-    cheb: np.ndarray | None = None
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.cheb is None:
-            self.cheb = npoly.Polynomial(self.coeffs).convert(
-                kind=ncheb.Chebyshev, domain=[0.0, FREQ_MAX]).coef
+        self.cheb = np.asarray(self.cheb, dtype=np.float64)
+        mono = ncheb.Chebyshev(self.cheb, domain=[0.0, FREQ_MAX]).convert(
+            kind=npoly.Polynomial, domain=[0.0, FREQ_MAX], window=[0.0, FREQ_MAX])
+        self.coeffs = np.zeros(len(self.cheb))
+        self.coeffs[: len(mono.coef)] = mono.coef
+
+    @property
+    def degree(self) -> int:
+        return len(self.cheb) - 1
 
     def __call__(self, w):
-        return npoly.polyval(np.asarray(w, dtype=np.float64), self.coeffs)
+        return ncheb.chebval(np.asarray(w, dtype=np.float64) - 1.0, self.cheb)
 
 
 def fit_grid_polynomial(w: np.ndarray, y: np.ndarray, degree: int) -> PolyFilter:
     """Least-squares polynomial fit of sampled values on a grid over [0, 2],
-    in the Chebyshev basis of that interval; the monomial coefficients are
-    converted from it.
-
-    The recorded L-inf error is evaluated in the Chebyshev basis: it measures
-    the fitted polynomial itself, not the float damage the monomial conversion
-    suffers at high degree.
-    """
+    in the Chebyshev basis of that interval; the recorded L-inf error is that
+    series' error on the grid."""
     if len(w) < degree + 1:
         raise ValueError("grid too small for the requested degree")
     if w[0] != 0.0 or w[-1] != FREQ_MAX:
         raise ValueError(f"grid must span [0, {FREQ_MAX}], got [{w[0]}, {w[-1]}]")
     cheb = ncheb.Chebyshev.fit(w, y, degree, domain=[0.0, FREQ_MAX])
-    mono = cheb.convert(kind=npoly.Polynomial, domain=[0.0, FREQ_MAX],
-                        window=[0.0, FREQ_MAX])
-    coeffs = np.zeros(degree + 1)
-    coeffs[: len(mono.coef)] = mono.coef
-    err = float(np.max(np.abs(cheb(w) - y)))
-    return PolyFilter(coeffs, degree, err, cheb.coef)
+    return PolyFilter(cheb.coef, float(np.max(np.abs(cheb(w) - y))))
 
 
 def fit_polynomial(i: int, d: int = 3, grid_size: int | None = None) -> PolyFilter:

@@ -57,16 +57,16 @@ def cmd_filters(cfg: RunConfig, out: str) -> int:
         s_i = normalization_constant(i)
         mode = chi_mode(i)
         expectation, variance = chi_moments(i)
-        adm = "divergent" if i == 1 else _fmt(admissibility_integral(i))
+        adm = None if i == 1 else admissibility_integral(i)
         pf = fit_polynomial(i, cfg.degree_budget)
         rows.append([i, _fmt(s_i), _fmt(mode), _fmt(expectation), _fmt(variance),
-                     adm, _fmt(pf.fit_error_linf),
+                     "divergent" if adm is None else _fmt(adm), _fmt(pf.fit_error_linf),
                      ";".join(_fmt(c) for c in pf.coeffs),
                      ";".join(_fmt(c) for c in pf.cheb)])
         report.append({
             "i": i, "normalization": s_i, "mode": mode,
             "expectation": expectation, "variance": variance,
-            "admissibility": None if i == 1 else admissibility_integral(i),
+            "admissibility": adm,
             "degree": pf.degree, "fit_error_linf": pf.fit_error_linf,
             "coeffs": [float(c) for c in pf.coeffs],
             "cheb": [float(c) for c in pf.cheb], "cheb_basis": CHEB_BASIS,

@@ -118,15 +118,18 @@ def sub_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-_INT_KEYS = {"bands", "degree_budget", "aligned_dim", "path_min", "path_max",
-             "epochs", "mlp_layers", "seed"}
-_FLOAT_KEYS = {"w_d", "learning_rate", "weight_decay", "loss_h", "loss_l"}
-_STR_KEYS = {"graph", "activation", "checkpoint"}
-_SYNTH_INT = {"synth_communities": "communities"}
-_SYNTH_FLOAT = {"synth_anomaly_rate": "anomaly_rate", "synth_shift": "shift",
-                "synth_rewire": "rewire", "synth_train_frac": "train_frac",
-                "synth_val_frac": "val_frac"}
-_SYNTH_TUPLE = {"synth_sizes": "sizes", "synth_feature_dims": "feature_dims"}
+# config key -> (RunConfig attribute holding the field, or None for RunConfig
+# itself; field name): every field by name, SyntheticSpec's as `synth_<name>`
+_KEYS = {f.name: (None, f.name) for f in fields(RunConfig) if f.name != "synth"}
+_KEYS.update({f"synth_{f.name}": ("synth", f.name) for f in fields(SyntheticSpec)})
+
+
+def _parse_value(value: str, current):
+    """value read as the type of the field's current value; a tuple is
+    comma-separated ints."""
+    if isinstance(current, tuple):
+        return tuple(int(v) for v in value.split(",") if v.strip())
+    return type(current)(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,26 +143,12 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ValueError(f"config line {lineno}: unknown key '{key}'")
+        owner, name = _KEYS[key]
+        target = cfg if owner is None else getattr(cfg, owner)
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-            elif key == "candidates":
-                cfg.candidates = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key in _SYNTH_INT:
-                setattr(cfg.synth, _SYNTH_INT[key], int(value))
-            elif key in _SYNTH_FLOAT:
-                setattr(cfg.synth, _SYNTH_FLOAT[key], float(value))
-            elif key in _SYNTH_TUPLE:
-                setattr(cfg.synth, _SYNTH_TUPLE[key],
-                        tuple(int(v) for v in value.split(",") if v.strip()))
-            else:
-                raise KeyError(key)
-        except KeyError:
-            raise ValueError(f"config line {lineno}: unknown key '{key}'") from None
+            setattr(target, name, _parse_value(value, getattr(target, name)))
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for '{key}': {exc}") from None
     cfg.validate()

@@ -303,14 +303,17 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         plans[o] = tp
         entries: list[BankEntry] = []
         if tp.plan is not None:
+            # the fused filter depends on the division, not on the graph
+            fused = {v: fuse_filters(tp.assigned, v, cfg.w_d, cfg.degree_budget).poly
+                     for v in tp.assigned}
             for idx, g in enumerate(tp.graphs):
                 division = tp.plan.labels[idx]
                 if division is None:
                     continue
-                fused = fuse_filters(tp.assigned, division, cfg.w_d, cfg.degree_budget)
                 name = f"wS[{o}][{idx}]"
                 params[name] = np.asarray(1.0)
-                entries.append(BankEntry(laplacian(g.adjacency), fused.poly, name, division))
+                entries.append(BankEntry(laplacian(g.adjacency), fused[division], name,
+                                         division))
         banks[o] = MultiGraphFilterBank(o, entries)
         banks[o].refresh_basis(graph.features[o])
 

@@ -228,15 +228,13 @@ class FusedFilter:
     grid: np.ndarray              # uniform abscissa over [0, 2]
     response: np.ndarray          # fused, renormalized to unit integral
     poly: PolyFilter
-    indices: dict[str, int]       # division -> assigned filter index
-    weights: dict[str, float]     # division -> fusion weight
-    own_division: str
 
 
 def fuse_filters(assignments: dict[str, int], own_division: str,
                  w_d: float = 0.1, d: int = 3,
                  grid_size: int = FUSION_GRID) -> FusedFilter:
-    """Blend the per-division filters into one response for a meta-path graph.
+    """Blend the per-division filters into one response for the meta-path
+    graphs of one division.
 
     Each division's response is weighted (1 for the graph's own division, w_d
     for the others), the weighted samples are convolved numerically, the
@@ -269,7 +267,7 @@ def fuse_filters(assignments: dict[str, int], own_division: str,
     response /= np.trapezoid(response, grid)
     max_i = max(assignments[v] for v in order)
     poly = fit_grid_polynomial(grid, response, max_i - 1 + d)
-    return FusedFilter(grid, response, poly, dict(assignments), weights, own_division)
+    return FusedFilter(grid, response, poly)
 
 
 # ---------------------------------------------------------------------------

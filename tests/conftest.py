@@ -65,7 +65,7 @@ def lowpass_ablation(model):
     (response 1 at w = 0, 0 at w = 2), the ablation baseline.  Each bank
     entry's cached powers start S^0 X, S^1 X, so its first two are exactly
     the basis the low-pass needs."""
-    lowpass = PolyFilter(np.array([1.0, -0.5]), 1, 0.0)
+    lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1/2 - T_1(w - 1)/2
     for bank in model.banks.values():
         for e in bank.entries:
             e.poly = lowpass

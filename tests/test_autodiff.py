@@ -408,6 +408,18 @@ class TestInPlaceKernels:
             want = want + ak * t_cur
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("form", ["float32_csr", "csc", "dense"])
+    def test_clenshaw_refuses_other_operators(self, form):
+        # the only kernel is scipy's float64 CSR product
+        M = symmetric_operator(20, seed=9)
+        M = {"float32_csr": M.astype(np.float32), "csc": M.tocsc(),
+             "dense": M.toarray()}[form]
+        x = np.random.default_rng(10).standard_normal((20, 3))
+        with pytest.raises(ValueError, match="float64 CSR matrix"):
+            clenshaw(np.ones(4), M, x)
+        with pytest.raises(ValueError, match="float64 CSR matrix"):
+            cheb_apply(np.ones(4), M, Tape().leaf(x))
+
     def test_cheb_apply_writes_neither_input_nor_gradient(self):
         n = 30
         M = symmetric_operator(n, seed=6)

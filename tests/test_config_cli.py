@@ -10,10 +10,10 @@ import pytest
 
 import chigad
 from chigad import spectral
-from chigad.chifilter import chi_response
+from chigad.chifilter import admissibility_integral, chi_response
 from chigad.cli import main
-from chigad.config import (DEFAULT_CANDIDATES, RunConfig, config_to_dict,
-                           load_config, parse_config, sub_seed)
+from chigad.config import (DEFAULT_CANDIDATES, RunConfig, SyntheticSpec,
+                           config_to_dict, load_config, parse_config, sub_seed)
 from chigad.hin import load_hetero_graph, save_hetero_graph
 from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC, build_model,
                           checkpoint_plan, forward_pass, load_checkpoint)
@@ -91,6 +91,9 @@ class TestParsing:
             parse_config("filter_mode = lowpass1")
         with pytest.raises(ValueError, match="config line 1: unknown key 'eig_cap'"):
             parse_config("eig_cap = 100")
+        # the synthetic spec is set only through its synth_* keys
+        with pytest.raises(ValueError, match="config line 1: unknown key 'synth'"):
+            parse_config("synth = 1")
 
     def test_bad_value(self):
         with pytest.raises(ValueError, match="line 1: bad value for 'bands'"):
@@ -120,6 +123,29 @@ class TestParsing:
         p.write_text("bands = 4\nseed = 9\n")
         cfg = load_config(str(p))
         assert (cfg.bands, cfg.seed) == (4, 9)
+
+    def test_every_key_round_trips(self):
+        # each of the 25 keys set away from its default, written as lines
+        cfg = RunConfig(
+            graph="g.json", candidates=(2, 5), bands=4, w_d=0.25, degree_budget=2,
+            aligned_dim=7, path_min=1, path_max=4, learning_rate=0.003,
+            weight_decay=0.5, epochs=11, loss_h=3.5, loss_l=1.25, activation="tanh",
+            mlp_layers=3, seed=17, checkpoint="m.ckpt",
+            synth=SyntheticSpec(sizes=(40, 20), feature_dims=(3, 5), communities=4,
+                                anomaly_rate=0.1, shift=0.75, rewire=0.5,
+                                train_frac=0.3, val_frac=0.25))
+
+        def flat(c):
+            d = config_to_dict(c)
+            synth = d.pop("synth")
+            return {**d, **{f"synth_{k}": v for k, v in synth.items()}}
+
+        keys, defaults = flat(cfg), flat(RunConfig())
+        assert len(keys) == 25
+        assert all(keys[k] != defaults[k] for k in keys)
+        text = "\n".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, list) else v}"
+                         for k, v in keys.items())
+        assert parse_config(text) == cfg
 
     def test_config_to_dict(self):
         d = config_to_dict(RunConfig(candidates=(1, 2), seed=3))
@@ -196,6 +222,18 @@ class TestCliFilters:
             assert entry["fit_error_series"] == "cheb"
             gap = np.max(np.abs(ncheb.chebval(w - 1.0, cheb) - chi_response(i, w)))
             assert gap <= err + 1e-12, i
+
+    def test_one_quadrature_per_admissible_candidate(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(i):
+            calls.append(i)
+            return admissibility_integral(i)
+
+        monkeypatch.setattr("chigad.cli.admissibility_integral", counted)
+        cfg = write_cfg(tmp_path / "c.cfg", ["candidates = 1, 2, 4, 8"])
+        assert main(["filters", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [2, 4, 8]
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", ["candidates = 1, 2, 8"])

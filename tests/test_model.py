@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools
 
 from chigad import autodiff as ad
 from chigad.chifilter import PolyFilter, fit_polynomial
@@ -16,6 +17,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
                           graph_signature, load_checkpoint, multi_graph_forward,
                           plan_document, plan_type, save_checkpoint, softmax_rows,
                           summed_coeffs)
+from chigad.spectral import fuse_filters
 from chigad.synthetic import SyntheticSpec, generate_synthetic_hin
 from chigad.training import train
 from conftest import make_hin, make_one_type_hin
@@ -139,6 +141,20 @@ class TestBuild:
             fit = fit_polynomial(i, 2)
             want[:len(fit.cheb)] += fit.cheb
         assert np.array_equal(model.conv.cheb, cut_series(want))
+
+    def test_one_fused_filter_per_division(self):
+        # the fusion's inputs are the division's, so its entries share one fit
+        g, cfg, model = small_model()
+        shared = 0
+        for o, bank in model.banks.items():
+            tp = model.plans[o]
+            for division in {e.division for e in bank.entries}:
+                polys = [e.poly for e in bank.entries if e.division == division]
+                assert all(p is polys[0] for p in polys)
+                shared += len(polys) > 1
+                want = fuse_filters(tp.assigned, division, cfg.w_d, cfg.degree_budget)
+                assert np.array_equal(polys[0].cheb, want.poly.cheb)
+        assert shared
 
 
 class TestForward:
@@ -570,10 +586,10 @@ class TestChiGnn:
             model.params[name] = rng.standard_normal(model.params[name].shape)
         bank = model.banks["n"]
         for e in bank.entries:
-            e.poly = PolyFilter(np.array([1.0]), 0, 0.0)
+            e.poly = PolyFilter(np.array([1.0]), 0.0)
         bank.features = None            # recache the powers for the new degree
         model.conv = MetaGraphConvLayer(model.conv.operator,
-                                        [PolyFilter(np.array([1.0]), 0, 0.0)])
+                                        [PolyFilter(np.array([1.0]), 0.0)])
         prob, _ = chigad_forward(model, g)
         p = model.params
         h = np.maximum(g.features["n"] @ p["W_align[n]"], 0.0)
@@ -617,6 +633,18 @@ def counted(op, counter: list[int]) -> CountingOperator:
     return CountingOperator(op, counter)
 
 
+class CountingSparsetools:
+    """Stand-in for the scipy kernel module clenshaw calls: counts its
+    products with the CSR matrix and runs them."""
+
+    def __init__(self, counter: list[int]):
+        self.counter = counter
+
+    def csr_matvecs(self, *args):
+        self.counter[0] += 1
+        _sparsetools.csr_matvecs(*args)
+
+
 class TestBenchGraph:
     def test_summed_conv_matches_per_filter_oracles(self, c7_graph):
         graph, cfg = c7_graph
@@ -629,7 +657,7 @@ class TestBenchGraph:
         assert len(model.conv.filters) == len(set(cfg.candidates))
         assert np.max(np.abs(got - want)) <= 1e-10
 
-    def test_epoch_matvec_counts(self, c7_graph):
+    def test_epoch_matvec_counts(self, c7_graph, monkeypatch):
         # one training epoch: the banks weigh cached powers (no products) and
         # the convolution is one cut Chebyshev series, applied forward and to
         # the gradient, one product with 2(S - I) per degree
@@ -639,7 +667,7 @@ class TestBenchGraph:
         for bank in model.banks.values():
             for e in bank.entries:
                 e.operator = counted(e.operator, bank_calls)
-        model.conv.matrix = counted(model.conv.matrix, conv_calls)
+        monkeypatch.setattr(ad, "_sparsetools", CountingSparsetools(conv_calls))
         train(model, graph, cfg)
         cut_degree = len(model.conv.cheb) - 1
         assert bank_calls[0] == 0
