@@ -39,7 +39,8 @@ def run_mode(graph, mode, seed, epochs):
         for bank in model.banks.values():
             for e in bank.entries:
                 e.poly, e.basis = lowpass, e.basis[:2]
-        model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass])
+        model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
+                                        model.conv.width)
     record = train(model, graph, cfg)
     for stats in record.epochs[:: max(1, epochs // 5)]:
         print(f"    epoch {stats.epoch:>4}  loss {stats.loss:8.4f}  "

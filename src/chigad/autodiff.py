@@ -4,8 +4,12 @@ Just enough machinery to train the model: a Tape records Nodes in creation
 order (which is automatically a topological order), and backward() walks the
 list in exact reverse, accumulating gradients additively across fan-out.
 Learnable tensors are dense; sparse graph operators enter only as fixed
-constants inside sparse_poly_apply and cheb_apply, or already applied, as the
-precomputed powers that basis_combine weighs.  One tape serves one
+constants inside sparse_poly_apply and cheb_apply, or already applied: as the
+precomputed powers that basis_combine weighs, or as a fixed dense block of a
+polynomial of one, which dense_apply multiplies.  The model's meta-graph
+convolution takes dense_apply when its target block p(S)[lo:hi] is no larger
+than the conv input and cheap next to the recurrence, and cheb_apply followed
+by row_slice otherwise (see model.MetaGraphConvLayer).  One tape serves one
 forward/backward pass; a finished tape refuses a second backward and has
 released every backward closure, so the arrays they captured are freed with
 the last reference.  Its nodes also drop their reference back to it, which
@@ -303,6 +307,16 @@ def cheb_apply(cheb, M, x: Node) -> Node:
             f"operator {M.shape} does not fit signal rows {x.value.shape[0]}")
     out = Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply")
     out.backward_fn = lambda g: x.accumulate(clenshaw(cheb, M, g))
+    return out
+
+
+def dense_apply(P: np.ndarray, x: Node) -> Node:
+    """y = P x for a fixed dense matrix P, one GEMM each way: the gradient
+    reaches x only, as P^T g, and nothing reaches P."""
+    if P.ndim != 2 or P.shape[1] != x.value.shape[0]:
+        raise ValueError(f"matrix {P.shape} does not fit signal rows {x.value.shape[0]}")
+    out = Node(_tape_of(x), P @ x.value, "dense_apply")
+    out.backward_fn = lambda g: x.accumulate(P.T @ g)
     return out
 
 

@@ -130,7 +130,7 @@ def admissibility_closed_form(i: int) -> float:
     return float(np.exp(log_val))
 
 
-@dataclass
+@dataclass(eq=False)
 class PolyFilter:
     """Polynomial approximation of a frequency response on [0, 2], given by its
     Chebyshev series in T_k(w - 1).  `coeffs`, the ascending monomial

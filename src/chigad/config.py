@@ -9,11 +9,22 @@ changes everything and fixing it reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .autodiff import ACTIVATIONS
 
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 8, 16, 32, 64, 128)
+
+
+def _require_finite(obj, key_prefix: str = "") -> None:
+    """Every float field of obj is finite; NaN would pass the range checks
+    below quietly, since it fails every comparison.  The error names the
+    config key."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key_prefix}{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -28,6 +39,7 @@ class SyntheticSpec:
     val_frac: float = 0.2
 
     def validate(self) -> None:
+        _require_finite(self, "synth_")
         if len(self.sizes) < 2 or any(s < 4 for s in self.sizes):
             raise ValueError("need >= 2 node types with >= 4 nodes each")
         if len(self.feature_dims) != len(self.sizes):
@@ -71,6 +83,7 @@ class RunConfig:
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def validate(self) -> None:
+        _require_finite(self)
         if not self.candidates or any(int(i) != i or i < 1 for i in self.candidates):
             raise ValueError("candidates must be a nonempty list of integers >= 1")
         if self.bands < 1:

@@ -14,10 +14,18 @@ Three stages, built per graph:
    of Chi-Square filter polynomials of the homogenized graph's shift
    operator S.  They share the operator and the input, so the sum is applied
    as one Chebyshev series in S - I, summed once at build and cut there where
-   its coefficient tail falls below CHEB_CUT_RTOL of its mass.  Its cost
-   follows the cut degree (39 on the defaults, against 130 uncut), not the
-   sum of the degrees.  The target block feeds an MLP head with two output
-   columns.
+   its coefficient tail falls below CHEB_CUT_RTOL of its mass.  Only the
+   target rows lo:hi of the output feed an MLP head with two output columns,
+   and the layer picks one of two paths at build, from input sizes alone:
+   - the dense target block p(S)[lo:hi] (n_t x n), built once by the same
+     cut series and applied as one GEMM each way, when n_t <= d_a (the block
+     is no larger than the conv input) and n_t * n <= DENSE_BLOCK_RATIO *
+     deg * (nnz(M) + 2n) (per column it costs at most that multiple of the
+     recurrence's multiply-adds).  The defaults take it;
+   - otherwise Clenshaw's recurrence on M = 2(S - I), one sparse product per
+     degree, whose cost follows the cut degree (39 on the defaults, against
+     130 uncut), and a row slice.  The c7 config (n_t 400 > d_a 32), larger
+     graphs and the degree-1 low-pass ablation take it.
 
 Every shift operator S is a normalized Laplacian, held as the plain CSR
 matrix `laplacian(adj)` returns: its spectrum lies in [0, 2], the interval
@@ -58,6 +66,13 @@ from .spectral import (DEFAULT_EIG_CAP, DEGENERATE_DIVISION, DIVISIONS,
 # relative L1 tail of the summed conv series dropped at build; |T_k| <= 1 on
 # the spectrum, so it bounds the sup-norm error of the cut series
 CHEB_CUT_RTOL = 1e-10
+
+# how many times the recurrence's multiply-adds per column, deg * (nnz(M) +
+# 2n), the dense target block's n_t * n may be (stage 3).  On the defaults
+# (2 vCPU, one BLAS thread) the block's GEMM ran at 17.7 G multiply-adds/s and
+# the recurrence at 1.2 G/s, so 2 keeps a wide margin; it also keeps a
+# degree-1 filter on the recurrence
+DENSE_BLOCK_RATIO = 2.0
 
 
 def summed_coeffs(filters: list[PolyFilter]) -> np.ndarray:
@@ -199,7 +214,7 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
 # model structure
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class BankEntry:
     operator: sp.csr_matrix     # normalized Laplacian of the meta-path graph
     poly: PolyFilter            # the fused filter's fit
@@ -208,7 +223,7 @@ class BankEntry:
     basis: list[np.ndarray] = field(default_factory=list, repr=False)  # S^k X
 
 
-@dataclass
+@dataclass(eq=False)
 class MultiGraphFilterBank:
     node_type: str
     entries: list[BankEntry]
@@ -225,20 +240,34 @@ class MultiGraphFilterBank:
         self.features = X
 
 
-@dataclass
+@dataclass(eq=False)
 class MetaGraphConvLayer:
+    """Rows `rows` of p(S) x for the sum p of the conv filters.  `block` is
+    p(S)[lo:hi] when the size rule of stage 3 (module docstring) picks the
+    dense path, and None when the cut series runs by Clenshaw's recurrence."""
     operator: sp.csr_matrix     # normalized Laplacian S of the Method-1 graph
     filters: list[PolyFilter]
+    rows: tuple[int, int]       # the target rows lo:hi in the global node order
+    width: int                  # columns of the conv input, d_a
     cheb: np.ndarray = field(init=False)        # cut_series(summed_coeffs(filters))
     matrix: sp.csr_matrix = field(init=False, repr=False)   # 2(S - I)
+    block: np.ndarray | None = field(init=False, repr=False)  # p(S)[lo:hi] or None
 
     def __post_init__(self):
         self.cheb = cut_series(summed_coeffs(self.filters))
         # the sparse difference stores no zeros, so S's unit diagonal drops out
-        self.matrix = 2.0 * (self.operator - sp.eye(self.operator.shape[0], format="csr"))
+        n = self.operator.shape[0]
+        self.matrix = 2.0 * (self.operator - sp.eye(n, format="csr"))
+        lo, hi = self.rows
+        recurrence = (len(self.cheb) - 1) * (self.matrix.nnz + 2 * n)
+        self.block = None
+        if hi - lo <= self.width and (hi - lo) * n <= DENSE_BLOCK_RATIO * recurrence:
+            # p(S) is symmetric: its columns lo:hi, p(S) applied to the unit
+            # vectors e_lo .. e_(hi-1), are its rows lo:hi
+            self.block = ad.clenshaw(self.cheb, self.matrix, np.eye(n, hi - lo, -lo)).T
 
 
-@dataclass
+@dataclass(eq=False)
 class ChiGadModel:
     node_types: list[str]
     target_type: str
@@ -249,8 +278,6 @@ class ChiGadModel:
     schema_hash: str
     activation: str
     mlp_layers: int
-    type_offsets: dict[str, int]
-    target_count: int
     plans: dict[str, TypePlan] = field(default_factory=dict)
 
 
@@ -324,7 +351,10 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
 
     conv_filters = [fit_polynomial(i, cfg.degree_budget)
                     for i in sorted(set(cfg.candidates))]
-    conv = MetaGraphConvLayer(laplacian(degenerate_method1(graph)), conv_filters)
+    lo = graph.type_offsets()[graph.target_type]
+    conv = MetaGraphConvLayer(laplacian(degenerate_method1(graph)), conv_filters,
+                              (lo, lo + graph.node_counts[graph.target_type]),
+                              cfg.aligned_dim)
 
     widths = [cfg.aligned_dim] * cfg.mlp_layers + [2]
     for k in range(cfg.mlp_layers):
@@ -350,8 +380,6 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         schema_hash=shash,
         activation=cfg.activation,
         mlp_layers=cfg.mlp_layers,
-        type_offsets=graph.type_offsets(),
-        target_count=graph.node_counts[graph.target_type],
         plans=plans,
     )
 
@@ -414,10 +442,11 @@ def forward_pass(model: ChiGadModel, graph: HeteroGraph) -> ForwardPass:
 
     stacked = ad.vstack(aligned)   # node_types order = global node order
     activated = ad.activation(stacked, model.activation)
-    conv = ad.cheb_apply(model.conv.cheb, model.conv.matrix, activated)
-
-    lo = model.type_offsets[model.target_type]
-    rep = ad.row_slice(conv, lo, lo + model.target_count)
+    conv = model.conv
+    if conv.block is not None:
+        rep = ad.dense_apply(conv.block, activated)
+    else:
+        rep = ad.row_slice(ad.cheb_apply(conv.cheb, conv.matrix, activated), *conv.rows)
 
     h = rep
     for k in range(model.mlp_layers):

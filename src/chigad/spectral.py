@@ -223,7 +223,7 @@ def assign_filter(band_max: float, candidates: list[int]) -> int:
 # fusion
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class FusedFilter:
     grid: np.ndarray              # uniform abscissa over [0, 2]
     response: np.ndarray          # fused, renormalized to unit integral

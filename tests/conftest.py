@@ -70,7 +70,8 @@ def lowpass_ablation(model):
         for e in bank.entries:
             e.poly = lowpass
             e.basis = e.basis[:2]
-    model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass])
+    model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
+                                    model.conv.width)
     return model
 
 

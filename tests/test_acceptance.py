@@ -200,6 +200,11 @@ def test_c4_gradients(capsys):
                       [logits], OP_TOL)
             count += 1
 
+            # a non-square block, so a transposed gradient cannot pass
+            block = rng.standard_normal((3, n_nodes))
+            _fd_check(lambda t, n: ad.node_sum(ad.dense_apply(block, n[0])), [F], OP_TOL)
+            count += 1
+
         # whole-model check: loss through the full forward against FD on
         # every parameter, with weights pushed off their init values
         for seed in range(10):
@@ -230,7 +235,7 @@ def test_c4_gradients(capsys):
                 assert grad_mismatch(analytic, numeric) < MODEL_TOL, \
                     f"seed {seed} param {name}"
             count += 1
-        assert count == 55
+        assert count == 60
 
 
 def test_c5_oracle_equivalence(capsys):

@@ -115,6 +115,16 @@ class TestParsing:
         with pytest.raises(ValueError, match="weight_decay"):
             parse_config("weight_decay = -0.1")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        "w_d", "learning_rate", "weight_decay", "loss_h", "loss_l",
+        "synth_anomaly_rate", "synth_shift", "synth_rewire", "synth_train_frac",
+        "synth_val_frac"])
+    def test_float_keys_must_be_finite(self, key, value):
+        # NaN fails every range comparison, so only a finiteness check stops it
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            parse_config(f"{key} = {value}")
+
     def test_weight_decay_parses(self):
         assert parse_config("weight_decay = 0.01").weight_decay == 0.01
 

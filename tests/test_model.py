@@ -20,7 +20,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
 from chigad.spectral import fuse_filters
 from chigad.synthetic import SyntheticSpec, generate_synthetic_hin
 from chigad.training import train
-from conftest import make_hin, make_one_type_hin
+from conftest import lowpass_ablation, make_hin, make_one_type_hin
 from oracles import dense_poly_apply
 from test_acceptance import BENCH_SPEC, bench_config
 
@@ -589,7 +589,8 @@ class TestChiGnn:
             e.poly = PolyFilter(np.array([1.0]), 0.0)
         bank.features = None            # recache the powers for the new degree
         model.conv = MetaGraphConvLayer(model.conv.operator,
-                                        [PolyFilter(np.array([1.0]), 0.0)])
+                                        [PolyFilter(np.array([1.0]), 0.0)],
+                                        model.conv.rows, model.conv.width)
         prob, _ = chigad_forward(model, g)
         p = model.params
         h = np.maximum(g.features["n"] @ p["W_align[n]"], 0.0)
@@ -691,3 +692,50 @@ def test_defaults_conv_cut_matches_uncut():
     # S's unit diagonal is not stored in 2(S - I)
     unit_diagonal = np.count_nonzero(conv.operator.diagonal() == 1.0)
     assert conv.matrix.nnz == conv.operator.nnz - unit_diagonal
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def defaults_graph(request):
+    """The `defaults` workload's graph: SyntheticSpec() from synth seeds 0 and 1."""
+    return generate_synthetic_hin(SyntheticSpec(), sub_seed(request.param, "synth"))
+
+
+class TestDenseTargetBlock:
+    """The conv applies p(S)[lo:hi] as one dense block when it fits, and its
+    cut series by Clenshaw's recurrence otherwise."""
+
+    def test_block_matches_recurrence(self, defaults_graph):
+        model = build_model(defaults_graph, RunConfig())
+        conv = model.conv
+        assert conv.block is not None
+        fp = forward_pass(model, defaults_graph)
+        G = np.random.default_rng(11).standard_normal(fp.rep.shape)
+        fp.tape.backward(ad.node_sum(ad.elementwise_mul(fp.rep, fp.tape.leaf(G))))
+
+        tape = ad.Tape()
+        x = tape.leaf(fp.conv_input.value)
+        rep = ad.row_slice(ad.cheb_apply(conv.cheb, conv.matrix, x), *conv.rows)
+        tape.backward(ad.node_sum(ad.elementwise_mul(rep, tape.leaf(G))))
+        for got, want in ((fp.rep.value, rep.value), (fp.conv_input.grad, x.grad)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_recurrence_on_c7_and_lowpass_ablation(self, c7_graph):
+        graph, cfg = c7_graph
+        conv = build_model(graph, cfg).conv
+        assert conv.rows[1] - conv.rows[0] > conv.width and conv.block is None
+        defaults = generate_synthetic_hin(SyntheticSpec(), sub_seed(0, "synth"))
+        model = lowpass_ablation(build_model(defaults, RunConfig()))
+        assert len(model.conv.cheb) == 2 and model.conv.block is None
+
+
+class TestIdentityEquality:
+    def test_array_holders_compare_by_identity(self):
+        # the dataclasses' generated == would compare arrays and raise
+        _, _, a = small_model()
+        _, _, b = small_model()
+        pairs = [(fit_polynomial(3, 3), fit_polynomial(3, 3)),
+                 (fuse_filters({"all": 3}, "all"), fuse_filters({"all": 3}, "all")),
+                 (a.banks["a"].entries[0], b.banks["a"].entries[0]),
+                 (a.banks["a"], b.banks["a"]), (a.conv, b.conv), (a, b)]
+        for x, y in pairs:
+            assert x == x and x != y, type(x).__name__
