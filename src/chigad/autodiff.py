@@ -16,7 +16,11 @@ the last reference.  Its nodes also drop their reference back to it, which
 breaks the tape <-> node cycle: a finished tape, with every value and grad it
 holds, is freed by reference counting once the caller lets go, not at the
 next cyclic garbage collection.  A tape that will run no backward is finished
-by release().
+by release().  A forward-only pass builds its tape with record=False instead:
+it keeps neither a node list nor backward closures, so an intermediate value
+lives only as long as the caller or the next op holds it, and a backward on
+it raises.  activation keeps only its output y and reads the local derivative
+off it (y > 0, or 1 - y^2 for tanh), so no mask is stored either.
 
 Gradients accumulate in place: a node's first gradient is stored as a copy
 of the incoming one, and later ones are added into it.  cheb_apply's
@@ -32,10 +36,14 @@ from scipy.sparse import _sparsetools
 
 
 class Tape:
-    """Append-only record of one forward computation."""
+    """Append-only record of one forward computation.  A tape made with
+    record=False records nothing: it keeps no node list and its nodes keep no
+    backward closure, so each intermediate value is freed as soon as nothing
+    but the next op reads it, and a backward on it is an error."""
 
-    def __init__(self):
-        self.nodes: list[Node] = []
+    def __init__(self, record: bool = True):
+        self.record = record
+        self.nodes: list[Node] | tuple = [] if record else ()
         self.finalized = False
 
     def leaf(self, value, name: str = "leaf") -> "Node":
@@ -47,6 +55,9 @@ class Tape:
         loss must be scalar; calling twice on one tape is an error (gradients
         would double-accumulate), build a fresh tape instead.
         """
+        if not self.record:
+            raise RuntimeError("this tape records nothing (record=False), so it has "
+                               "no gradients; build a recording tape")
         if self.finalized:
             raise RuntimeError("this tape is finished; build a fresh tape")
         if loss.tape is not self:
@@ -80,8 +91,10 @@ class Node:
         self.value = value
         self.grad = None
         self.op = op
-        self.backward_fn = backward_fn
-        tape.nodes.append(self)
+        self.backward_fn = None
+        if tape.record:
+            self.backward_fn = backward_fn
+            tape.nodes.append(self)
 
     def accumulate(self, g) -> None:
         # the first gradient is copied, never kept: add hands one g to both
@@ -110,28 +123,24 @@ def matmul(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
     if a.value.shape[-1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch {a.value.shape} x {b.value.shape}")
-    out = Node(tape, a.value @ b.value, "matmul")
 
     def backward(g):
         a.accumulate(g @ b.value.T)
         b.accumulate(a.value.T @ g)
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, a.value @ b.value, "matmul", backward)
 
 
 def add(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Node(tape, a.value + b.value, "add")
 
     def backward(g):
         a.accumulate(g)
         b.accumulate(g)
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, a.value + b.value, "add", backward)
 
 
 def add_bias(x: Node, bias: Node) -> Node:
@@ -139,14 +148,12 @@ def add_bias(x: Node, bias: Node) -> Node:
     tape = _tape_of(x, bias)
     if bias.value.ndim != 1 or x.value.shape[1] != bias.value.shape[0]:
         raise ValueError(f"bias shape {bias.value.shape} does not fit {x.value.shape}")
-    out = Node(tape, x.value + bias.value[None, :], "add_bias")
 
     def backward(g):
         x.accumulate(g)
         bias.accumulate(g.sum(axis=0))
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, x.value + bias.value[None, :], "add_bias", backward)
 
 
 def scale(a: Node, s: Node) -> Node:
@@ -154,28 +161,24 @@ def scale(a: Node, s: Node) -> Node:
     tape = _tape_of(a, s)
     if s.value.ndim != 0:
         raise ValueError("scale factor must be a scalar node")
-    out = Node(tape, a.value * s.value, "scale")
 
     def backward(g):
         a.accumulate(g * s.value)
         s.accumulate(np.asarray((g * a.value).sum()))
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, a.value * s.value, "scale", backward)
 
 
 def elementwise_mul(a: Node, b: Node) -> Node:
     tape = _tape_of(a, b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"elementwise_mul shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Node(tape, a.value * b.value, "elementwise_mul")
 
     def backward(g):
         a.accumulate(g * b.value)
         b.accumulate(g * a.value)
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, a.value * b.value, "elementwise_mul", backward)
 
 
 ACTIVATIONS = ("relu", "tanh", "leaky_relu")
@@ -183,21 +186,27 @@ LEAKY_SLOPE = 0.01
 
 
 def activation(x: Node, kind: str) -> Node:
+    """y = kind(x).  Only y is kept: the backward reads the local derivative
+    off it, y > 0 exactly where x > 0, so no mask is stored."""
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation '{kind}'")
     v = x.value
     if kind == "relu":
         y = np.maximum(v, 0.0)
-        local = (v > 0.0).astype(np.float64)  # subgradient 0 at the kink
+
+        def backward(g):
+            x.accumulate(g * (y > 0.0))  # subgradient 0 at the kink
     elif kind == "leaky_relu":
-        local = np.where(v > 0.0, 1.0, LEAKY_SLOPE)
-        y = v * local
+        y = v * np.where(v > 0.0, 1.0, LEAKY_SLOPE)
+
+        def backward(g):
+            x.accumulate(g * np.where(y > 0.0, 1.0, LEAKY_SLOPE))
     else:
         y = np.tanh(v)
-        local = 1.0 - y * y
-    out = Node(_tape_of(x), y, kind)
-    out.backward_fn = lambda g: x.accumulate(g * local)
-    return out
+
+        def backward(g):
+            x.accumulate(g * (1.0 - y * y))
+    return Node(_tape_of(x), y, kind, backward)
 
 
 def monomial_powers(mat, x: np.ndarray, count: int):
@@ -234,7 +243,7 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
     if meta_weight is not None:
         powers = list(powers)
     wpow = w ** np.arange(len(cvals))
-    out = Node(tape, weighted_sum(cvals, wpow, powers), "sparse_poly_apply")
+    value = weighted_sum(cvals, wpow, powers)
 
     def backward(g):
         # dx: sum_k c_k w^k (S^T)^k g, built by iterated transpose passes
@@ -242,8 +251,7 @@ def sparse_poly_apply(coeffs, S, x: Node, meta_weight: Node | None = None) -> No
         if meta_weight is not None:
             meta_weight.accumulate(np.asarray(_dw(cvals, w, powers, g)))
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, value, "sparse_poly_apply", backward)
 
 
 def _dw(cvals, w: float, powers, g) -> float:
@@ -305,9 +313,8 @@ def cheb_apply(cheb, M, x: Node) -> Node:
     if M.shape[0] != M.shape[1] or x.value.shape[0] != M.shape[0]:
         raise ValueError(
             f"operator {M.shape} does not fit signal rows {x.value.shape[0]}")
-    out = Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply")
-    out.backward_fn = lambda g: x.accumulate(clenshaw(cheb, M, g))
-    return out
+    return Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply",
+                lambda g: x.accumulate(clenshaw(cheb, M, g)))
 
 
 def dense_apply(P: np.ndarray, x: Node) -> Node:
@@ -315,9 +322,8 @@ def dense_apply(P: np.ndarray, x: Node) -> Node:
     reaches x only, as P^T g, and nothing reaches P."""
     if P.ndim != 2 or P.shape[1] != x.value.shape[0]:
         raise ValueError(f"matrix {P.shape} does not fit signal rows {x.value.shape[0]}")
-    out = Node(_tape_of(x), P @ x.value, "dense_apply")
-    out.backward_fn = lambda g: x.accumulate(P.T @ g)
-    return out
+    return Node(_tape_of(x), P @ x.value, "dense_apply",
+                lambda g: x.accumulate(P.T @ g))
 
 
 def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
@@ -332,9 +338,8 @@ def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
         raise ValueError(f"{len(cvals)} coefficients for a basis of {len(basis)} powers")
     w = float(meta_weight.value)
     wpow = w ** np.arange(len(cvals))
-    out = Node(meta_weight.tape, weighted_sum(cvals, wpow, basis), "basis_combine")
-    out.backward_fn = lambda g: meta_weight.accumulate(np.asarray(_dw(cvals, w, basis, g)))
-    return out
+    return Node(meta_weight.tape, weighted_sum(cvals, wpow, basis), "basis_combine",
+                lambda g: meta_weight.accumulate(np.asarray(_dw(cvals, w, basis, g))))
 
 
 def weighted_softmax_ce(logits: Node, labels: np.ndarray, weights: np.ndarray,
@@ -361,7 +366,6 @@ def weighted_softmax_ce(logits: Node, labels: np.ndarray, weights: np.ndarray,
     logsum = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - logsum[:, None]
     loss = -(wts * logp[np.arange(n), y]).sum() / n
-    out = Node(_tape_of(logits), np.asarray(loss), "weighted_softmax_ce")
 
     def backward(g):
         p = np.exp(logp)
@@ -370,8 +374,7 @@ def weighted_softmax_ce(logits: Node, labels: np.ndarray, weights: np.ndarray,
         full[mask] = (float(g) / n) * wts[:, None] * p
         logits.accumulate(full)
 
-    out.backward_fn = backward
-    return out
+    return Node(_tape_of(logits), np.asarray(loss), "weighted_softmax_ce", backward)
 
 
 def vstack(blocks: list[Node]) -> Node:
@@ -381,21 +384,18 @@ def vstack(blocks: list[Node]) -> Node:
     widths = {b.value.shape[1] for b in blocks}
     if len(widths) != 1:
         raise ValueError(f"blocks have mixed widths {sorted(widths)}")
-    out = Node(tape, np.vstack([b.value for b in blocks]), "vstack")
     offsets = np.cumsum([0] + [b.value.shape[0] for b in blocks])
 
     def backward(g):
         for b, lo, hi in zip(blocks, offsets[:-1], offsets[1:]):
             b.accumulate(g[lo:hi])
 
-    out.backward_fn = backward
-    return out
+    return Node(tape, np.vstack([b.value for b in blocks]), "vstack", backward)
 
 
 def row_slice(x: Node, start: int, stop: int) -> Node:
     if not (0 <= start < stop <= x.value.shape[0]):
         raise ValueError(f"row slice [{start}:{stop}] out of range for {x.value.shape}")
-    out = Node(x.tape, x.value[start:stop].copy(), "row_slice")
 
     def backward(g):
         # added into the parent's rows: no full-size copy of g is built
@@ -403,11 +403,9 @@ def row_slice(x: Node, start: int, stop: int) -> Node:
             x.grad = np.zeros_like(x.value)
         x.grad[start:stop] += g
 
-    out.backward_fn = backward
-    return out
+    return Node(x.tape, x.value[start:stop].copy(), "row_slice", backward)
 
 
 def node_sum(x: Node) -> Node:
-    out = Node(x.tape, np.asarray(x.value.sum()), "sum")
-    out.backward_fn = lambda g: x.accumulate(np.full_like(x.value, float(g)))
-    return out
+    return Node(x.tape, np.asarray(x.value.sum()), "sum",
+                lambda g: x.accumulate(np.full_like(x.value, float(g))))

@@ -18,23 +18,50 @@ touches at most k-hop neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
-from scipy.special import gammainc, gammaln
 
 from .autodiff import monomial_powers, weighted_sum
 
 FREQ_MAX = 2.0
+
+# largest share of e^(-x) folded into the terms of the incomplete gamma sum at
+# once; e^(-512) is a normal float64, while e^(-x) alone underflows past 745
+_EXP_CHUNK = 512.0
+
+
+def _lower_gamma_p(a: int, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for an integer a >= 1 and
+    x >= 0, in closed form: 1 - e^(-x) sum_(k<a) x^k / k!.
+
+    The terms come from the product t_k = t_(k-1) x / k.  e^(-x) enters them
+    at most _EXP_CHUNK at a time, the next share once the running sum passes
+    1, so neither the terms nor the sum underflow or overflow at any x."""
+    share = min(x, _EXP_CHUNK)
+    rest = x - share
+    term = total = math.exp(-share)
+    for k in range(1, a):
+        term *= x / k
+        total += term
+        if total > 1.0 and rest > 0.0:
+            share = min(rest, _EXP_CHUNK)
+            rest -= share
+            shrink = math.exp(-share)
+            term *= shrink
+            total *= shrink
+    return 1.0 - total * math.exp(-rest)
 
 
 def _log_unnormalized(w, i):
     # log of (1/(2^i Gamma(i))) (w(i+1))^(i-1) exp(-w(i+1)/2); log-space keeps
     # i=128 finite where the direct power overflows
     w = np.asarray(w, dtype=np.float64)
-    base = -i * np.log(2.0) - gammaln(i)
+    base = -i * np.log(2.0) - math.lgamma(i)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = (i - 1) * np.log(w * (i + 1.0)) - w * (i + 1.0) / 2.0 + base
     if i == 1:
@@ -59,7 +86,7 @@ def normalization_constant(i: int) -> float:
     chi-square(2i) CDF at 2(i+1) over i+1, that is P(i, i+1)/(i+1) with P the
     regularized lower incomplete gamma function."""
     i = _check_index(i)
-    return float(gammainc(i, i + 1.0)) / (i + 1.0)
+    return _lower_gamma_p(i, i + 1.0) / (i + 1.0)
 
 
 def chi_response(i: int, w):
@@ -88,9 +115,9 @@ def chi_moments(i: int) -> tuple[float, float]:
     """
     i = _check_index(i)
     x = i + 1.0
-    p = float(gammainc(i, x))
-    e = 2.0 * i * float(gammainc(i + 1, x)) / (x * p)
-    second = 4.0 * i * float(gammainc(i + 2, x)) / (x * p)
+    p = _lower_gamma_p(i, x)
+    e = 2.0 * i * _lower_gamma_p(i + 1, x) / (x * p)
+    second = 4.0 * i * _lower_gamma_p(i + 2, x) / (x * p)
     return e, second - e * e
 
 
@@ -126,7 +153,8 @@ def admissibility_closed_form(i: int) -> float:
     if i == 1:
         raise ValueError("filter i=1 is not admissible: the integral diverges at w=0")
     s = normalization_constant(i)
-    log_val = gammaln(2 * (i - 1)) - 2.0 * (i * np.log(2.0) + gammaln(i) + np.log(s))
+    log_val = (math.lgamma(2 * (i - 1))
+               - 2.0 * (i * np.log(2.0) + math.lgamma(i) + np.log(s)))
     return float(np.exp(log_val))
 
 
@@ -134,18 +162,22 @@ def admissibility_closed_form(i: int) -> float:
 class PolyFilter:
     """Polynomial approximation of a frequency response on [0, 2], given by its
     Chebyshev series in T_k(w - 1).  `coeffs`, the ascending monomial
-    coefficients in w, is converted from the series once; the conversion
-    loses all accuracy at high degree, so a call evaluates the series."""
+    coefficients in w, is converted from the series on first read and kept;
+    the conversion loses all accuracy at high degree, so a call evaluates the
+    series, and a filter only ever applied as a series never converts."""
     cheb: np.ndarray
     fit_error_linf: float
-    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cheb = np.asarray(self.cheb, dtype=np.float64)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
         mono = ncheb.Chebyshev(self.cheb, domain=[0.0, FREQ_MAX]).convert(
             kind=npoly.Polynomial, domain=[0.0, FREQ_MAX], window=[0.0, FREQ_MAX])
-        self.coeffs = np.zeros(len(self.cheb))
-        self.coeffs[: len(mono.coef)] = mono.coef
+        coeffs = np.zeros(len(self.cheb))
+        coeffs[: len(mono.coef)] = mono.coef
+        return coeffs
 
     @property
     def degree(self) -> int:

@@ -194,7 +194,7 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
 
 
 def _emit_metrics(model, graph, out: str, prefix: str) -> None:
-    fp = forward_pass(model, graph)
+    fp = forward_pass(model, graph, record=False)
     rec = split_metrics(fp.prob, graph, "test")
     _write_json(os.path.join(out, f"{prefix}metrics.json"), rec.as_dict())
     mask = graph.split_masks["test"]

@@ -236,7 +236,7 @@ class MultiGraphFilterBank:
             return
         X = np.array(X, dtype=np.float64)
         for e in self.entries:
-            e.basis = list(ad.monomial_powers(e.operator, X, len(e.poly.coeffs)))
+            e.basis = list(ad.monomial_powers(e.operator, X, len(e.poly.cheb)))
         self.features = X
 
 
@@ -390,9 +390,11 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
 
 @dataclass
 class ForwardPass:
-    """One forward pass and the tape it owns.  Run any backward while the pass
-    is alive: dropping it releases a tape that ran none, so a forward-only
-    pass is freed by reference counting."""
+    """One forward pass and the tape it owns.  A recording pass (the default)
+    runs its backward while the pass is alive: dropping it releases a tape
+    that ran none, so it is freed by reference counting.  A forward-only pass,
+    record=False, keeps no tape: neither nodes nor closures, so only the
+    fields below outlive it, and a backward on its tape raises."""
     tape: ad.Tape
     prob: np.ndarray             # target nodes x 2
     logits: ad.Node
@@ -423,25 +425,29 @@ def multi_graph_forward(bank: MultiGraphFilterBank, X: np.ndarray,
     return acc
 
 
-def forward_pass(model: ChiGadModel, graph: HeteroGraph) -> ForwardPass:
+def forward_pass(model: ChiGadModel, graph: HeteroGraph,
+                 record: bool = True) -> ForwardPass:
+    """The model's forward pass on a graph of its schema; record=False for a
+    pass that will run no backward (see ForwardPass)."""
     got = graph_signature(graph)
     want = {k: model.schema[k] for k in got}
     if got != want:
         raise ValueError("graph does not match the schema this model was built for")
 
-    tape = ad.Tape()
+    tape = ad.Tape(record)
     pnodes = {name: tape.leaf(arr, name) for name, arr in model.params.items()}
 
-    aligned = []
-    for o in model.node_types:
+    def aligned(o: str) -> ad.Node:
         bank = model.banks[o]
         # a type with no valid meta-path keeps its raw features
         xs = (multi_graph_forward(bank, graph.features[o], pnodes) if bank.entries
               else tape.leaf(graph.features[o], f"X[{o}]"))
-        aligned.append(ad.matmul(xs, pnodes[f"W_align[{o}]"]))
+        return ad.matmul(xs, pnodes[f"W_align[{o}]"])
 
-    stacked = ad.vstack(aligned)   # node_types order = global node order
-    activated = ad.activation(stacked, model.activation)
+    # node_types order = global node order; without a record the blocks and
+    # the stack are freed once the activation has read them
+    activated = ad.activation(ad.vstack([aligned(o) for o in model.node_types]),
+                              model.activation)
     conv = model.conv
     if conv.block is not None:
         rep = ad.dense_apply(conv.block, activated)
@@ -458,8 +464,8 @@ def forward_pass(model: ChiGadModel, graph: HeteroGraph) -> ForwardPass:
 
 def chigad_forward(model: ChiGadModel, graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities over target nodes and the pre-head representation."""
-    fp = forward_pass(model, graph)
-    return fp.prob, fp.rep.value.copy()
+    fp = forward_pass(model, graph, record=False)
+    return fp.prob, fp.rep.value
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,8 @@ def split_metrics(prob: np.ndarray, graph: HeteroGraph, split: str = "test",
 
 def evaluate(model: ChiGadModel, graph: HeteroGraph, split: str = "test",
              threshold: float = 0.5) -> MetricsRecord:
-    return split_metrics(forward_pass(model, graph).prob, graph, split, threshold)
+    return split_metrics(forward_pass(model, graph, record=False).prob, graph, split,
+                         threshold)
 
 
 def write_history_csv(record: TrainRecord, path: str) -> None:

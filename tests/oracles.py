@@ -137,6 +137,33 @@ def dense_poly_apply(coeffs, S_dense, X):
     return acc
 
 
+def monomial_coeffs(cheb, freq_max=2.0):
+    """Ascending monomial coefficients in w of sum_k a_k T_k(w - 1) on
+    [0, freq_max], by numpy's Chebyshev-to-power-series conversion, padded
+    with zeros to len(cheb)."""
+    from numpy.polynomial import chebyshev as ncheb
+    from numpy.polynomial import polynomial as npoly
+    mono = ncheb.Chebyshev(cheb, domain=[0.0, freq_max]).convert(
+        kind=npoly.Polynomial, domain=[0.0, freq_max], window=[0.0, freq_max])
+    out = np.zeros(len(cheb))
+    out[: len(mono.coef)] = mono.coef
+    return out
+
+
+def activation_grad_with_mask(v, g, kind, slope):
+    """Gradient of an activation at inputs v for incoming g, from the float64
+    mask of the input's sign: relu (v > 0), leaky where(v > 0, 1, slope),
+    tanh 1 - tanh(v)^2."""
+    if kind == "relu":
+        local = (v > 0.0).astype(np.float64)
+    elif kind == "leaky_relu":
+        local = np.where(v > 0.0, 1.0, slope)
+    else:
+        y = np.tanh(v)
+        local = 1.0 - y * y
+    return g * local
+
+
 def chi2_density(u, n):
     """Chi-square pdf with n degrees of freedom, log-space evaluation."""
     from scipy.special import gammaln

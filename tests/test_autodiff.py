@@ -11,7 +11,8 @@ from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
                              elementwise_mul, matmul, monomial_powers, node_sum,
                              row_slice, scale, sparse_poly_apply, vstack,
                              weighted_softmax_ce)
-from oracles import dense_poly_apply, fd_gradient, grad_mismatch
+from oracles import (activation_grad_with_mask, dense_poly_apply, fd_gradient,
+                     grad_mismatch)
 
 FD_TOL = 1e-6
 
@@ -177,6 +178,24 @@ class TestGradients:
                                                          activation(n[0], kind))),
                    [X])
 
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_activation_grad_read_off_output(self, kind):
+        # bit for bit the gradient of the float64 input mask, at the kink
+        # (0.0 and -0.0), at subnormals and at NaN; the closure keeps y only
+        tiny = np.finfo(float).smallest_subnormal
+        v = np.array([[0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 3.0, -3.0],
+                      [1e3, -1e3, 25.0, -25.0, np.nan, 0.5, -0.5, 2e-9]])
+        G = np.random.default_rng(5).standard_normal(v.shape)
+        G[0, :2] = [-1.5, 2.5]
+        t = Tape()
+        x = t.leaf(v)
+        y = activation(x, kind)
+        kept = [c.cell_contents for c in y.backward_fn.__closure__]
+        assert [a for a in kept if isinstance(a, np.ndarray)] == [y.value]
+        t.backward(node_sum(elementwise_mul(y, t.leaf(G))))
+        want = activation_grad_with_mask(v, G, kind, LEAKY_SLOPE)
+        assert x.grad.tobytes() == want.tobytes()
+
     def test_sparse_poly_inputs_and_weight(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((5, 2))
@@ -308,6 +327,23 @@ class TestTapeDiscipline:
             assert np.array_equal(y.value, np.ones((3, 2)))
         finally:
             gc.enable()
+
+    def test_unrecorded_tape_keeps_nothing_and_refuses_backward(self):
+        def build(t):
+            x = t.leaf(np.ones((3, 2)))
+            w = t.leaf(0.9)
+            y = activation(sparse_poly_apply([1.0, 0.5], ring_operator(3), x, w), "relu")
+            return x, y, node_sum(elementwise_mul(y, y))
+
+        t = Tape(record=False)
+        x, y, loss = build(t)
+        assert len(t.nodes) == 0 and y.backward_fn is None and loss.backward_fn is None
+        assert loss.value == build(Tape())[2].value
+        with pytest.raises(RuntimeError, match="records nothing"):
+            t.backward(loss)
+        assert x.grad is None
+        with pytest.raises(AttributeError):
+            t.nodes.append(x)
 
     def test_non_scalar_root(self):
         t = Tape()

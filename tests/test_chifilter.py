@@ -1,19 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 from scipy import integrate
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from chigad.autodiff import Tape, cheb_apply
-from chigad.chifilter import (PolyFilter, admissibility_closed_form,
+from chigad.chifilter import (PolyFilter, _lower_gamma_p, admissibility_closed_form,
                               admissibility_integral, apply_filter, chi_mode,
                               chi_moments, chi_response, fit_grid_polynomial,
                               fit_polynomial, normalization_constant)
 from chigad.config import DEFAULT_CANDIDATES
 from chigad.hin import laplacian
 from chigad.model import summed_coeffs
+from oracles import monomial_coeffs
 
 CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -53,6 +56,38 @@ class TestNormalization:
         for i in CANDIDATES:
             expected = gammainc(i, i + 1) / (i + 1)
             assert normalization_constant(i) == pytest.approx(expected, rel=1e-9)
+
+
+class TestIncompleteGammaClosedForm:
+    """P(a, x) = 1 - e^(-x) sum_(k<a) x^k / k! for integer a, against scipy,
+    which the package itself does not import."""
+
+    @pytest.mark.parametrize("i", sorted(set(DEFAULT_CANDIDATES)))
+    def test_matches_scipy_at_candidates(self, i):
+        # the indices and point S_i and the moments use: a = i, i+1, i+2 at i+1
+        for a in (i, i + 1, i + 2):
+            want = gammainc(a, i + 1.0)
+            assert abs(_lower_gamma_p(a, i + 1.0) - want) <= 1e-14 * want, f"a={a}"
+
+    @pytest.mark.parametrize("i", [744, 745, 1000, 5000])
+    def test_accurate_where_exp_underflows(self, i):
+        # e^(-(i+1)) alone is subnormal or zero here; a plain product loop
+        # starting from it returns 2.1e-4 for S_744 against 7.0e-4
+        assert np.exp(-(i + 1.0)) < np.finfo(float).tiny
+        for a in (i, i + 1, i + 2):
+            got, want = _lower_gamma_p(a, i + 1.0), gammainc(a, i + 1.0)
+            assert np.isfinite(got) and abs(got - want) <= 1e-11 * want, f"a={a}"
+        assert normalization_constant(i) == pytest.approx(
+            gammainc(i, i + 1.0) / (i + 1.0), rel=1e-11)
+
+    def test_edges(self):
+        assert _lower_gamma_p(1, 0.0) == 0.0 and _lower_gamma_p(5, 0.0) == 0.0
+        assert _lower_gamma_p(1, 2.0) == pytest.approx(1.0 - np.exp(-2.0), rel=1e-15)
+        assert _lower_gamma_p(3, 1e6) == 1.0
+
+    def test_lgamma_matches_gammaln(self):
+        for n in list(range(1, 300)) + [511, 1024, 5000]:
+            assert math.lgamma(n) == pytest.approx(float(gammaln(n)), rel=1e-14, abs=1e-15)
 
 
 class TestResponse:
@@ -184,6 +219,16 @@ class TestFit:
         pf = PolyFilter(np.array([0.5, -0.5]), 0.0)
         assert pf.coeffs.tolist() == [1.0, -0.5]
         assert pf.degree == 1
+
+    @pytest.mark.parametrize("i", sorted(set(DEFAULT_CANDIDATES)))
+    def test_monomial_form_converted_on_first_read(self, i):
+        for d in (2, 3, 8):
+            pf = fit_polynomial(i, d)
+            assert "coeffs" not in vars(pf)
+            got = pf.coeffs
+            want = monomial_coeffs(pf.cheb)
+            assert got.tobytes() == want.tobytes(), f"d={d}"
+            assert vars(pf)["coeffs"] is got and pf.coeffs is got
 
     @pytest.mark.parametrize("i", sorted(set(DEFAULT_CANDIDATES)))
     def test_call_is_within_fit_error_on_fit_grid(self, i):

@@ -19,6 +19,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC, build_model,
                           checkpoint_plan, forward_pass, load_checkpoint)
 from chigad.training import split_metrics
 from conftest import make_one_type_hin
+from oracles import monomial_coeffs
 from test_model import refeatured, rewrite_header
 
 
@@ -232,6 +233,19 @@ class TestCliFilters:
             assert entry["fit_error_series"] == "cheb"
             gap = np.max(np.abs(ncheb.chebval(w - 1.0, cheb) - chi_response(i, w)))
             assert gap <= err + 1e-12, i
+
+    def test_monomial_column_is_the_series_conversion(self, tmp_path):
+        # coeffs is converted from the exported series on first read, bit for
+        # bit the conversion numpy gives
+        cfg = write_cfg(tmp_path / "c.cfg", ["candidates = 1, 2, 8, 32, 128"])
+        out = tmp_path / "out"
+        assert main(["filters", "--config", cfg, "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "filters.csv").read_text().splitlines()))
+        report = json.loads((out / "filters.json").read_text())
+        for row, entry in zip(rows[1:], report):
+            want = monomial_coeffs(np.array(entry["cheb"]))
+            assert np.array(entry["coeffs"]).tobytes() == want.tobytes()
+            assert row[-2] == ";".join(repr(float(c)) for c in want)
 
     def test_one_quadrature_per_admissible_candidate(self, tmp_path, monkeypatch):
         calls = []
@@ -454,14 +468,14 @@ class TestCliErrors:
 
 class TestCliImport:
     def test_no_quadrature_or_stats_on_import(self):
-        # every command pays the import; quadrature and scipy.stats stay off
-        # it, and neither planning nor a forward and backward pass loads
-        # scipy.sparse.csgraph or scipy.linalg
+        # every command pays the import; quadrature, scipy.stats and
+        # scipy.special stay off it, and neither planning nor a forward and
+        # backward pass loads scipy.sparse.csgraph or scipy.linalg
         src = os.path.dirname(os.path.dirname(chigad.__file__))
         code = (
             "import sys, chigad.cli\n"
-            "heavy = ('scipy.integrate', 'scipy.stats', 'scipy.sparse.csgraph', "
-            "'scipy.linalg')\n"
+            "heavy = ('scipy.integrate', 'scipy.stats', 'scipy.special', "
+            "'scipy.sparse.csgraph', 'scipy.linalg')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
             "from chigad import RunConfig, SyntheticSpec, generate_synthetic_hin\n"
             "from chigad.model import plan_type\n"

@@ -728,6 +728,37 @@ class TestDenseTargetBlock:
         assert len(model.conv.cheb) == 2 and model.conv.block is None
 
 
+class TestForwardOnlyPass:
+    """record=False: the same outputs from a tape that keeps nothing."""
+
+    def test_matches_recording_pass_on_c7(self, c7_graph):
+        self.check(*c7_graph)
+
+    def test_matches_recording_pass_on_defaults(self, defaults_graph):
+        self.check(defaults_graph, RunConfig())
+
+    @staticmethod
+    def check(graph, cfg):
+        model = build_model(graph, cfg)
+        recorded = forward_pass(model, graph)
+        bare = forward_pass(model, graph, record=False)
+        assert bare.prob.tobytes() == recorded.prob.tobytes()
+        assert bare.rep.value.tobytes() == recorded.rep.value.tobytes()
+        assert len(recorded.tape.nodes) > 0 and len(bare.tape.nodes) == 0
+        kept = [bare.rep, bare.logits, bare.conv_input, *bare.param_nodes.values()]
+        assert all(n.backward_fn is None for n in kept)
+        with pytest.raises(RuntimeError, match="records nothing"):
+            bare.tape.backward(ad.node_sum(bare.logits))
+        assert all(n.grad is None for n in kept)
+
+    def test_conv_filters_never_convert_to_monomials(self, defaults_graph):
+        # only the banks read the monomial form; the conv applies its series
+        model = build_model(defaults_graph, RunConfig())
+        assert all("coeffs" not in vars(f) for f in model.conv.filters)
+        chigad_forward(model, defaults_graph)
+        assert all("coeffs" not in vars(f) for f in model.conv.filters)
+
+
 class TestIdentityEquality:
     def test_array_holders_compare_by_identity(self):
         # the dataclasses' generated == would compare arrays and raise
