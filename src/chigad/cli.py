@@ -17,7 +17,7 @@ import sys
 from .chifilter import (admissibility_integral, chi_mode, chi_moments,
                         fit_polynomial, normalization_constant)
 from .config import RunConfig, load_config, sub_seed
-from .hin import load_hetero_graph, save_hetero_graph
+from .hin import HeteroGraph, load_hetero_graph, load_hetero_graph_csv, save_hetero_graph
 from .metrics import pr_points, roc_points
 from .model import (build_model, checkpoint_plan, forward_pass, load_checkpoint,
                     plan_type, save_checkpoint)
@@ -52,21 +52,14 @@ def cmd_filters(cfg: RunConfig, out: str) -> int:
     CHEB_BASIS, and `fit_error_linf` is that series' error; `coeffs` is its
     monomial conversion, which loses all accuracy at high degree (at i = 64
     it misses the response by about 1e18)."""
-    rows, report = [], []
+    report = []
     for i in sorted(set(cfg.candidates)):
-        s_i = normalization_constant(i)
-        mode = chi_mode(i)
         expectation, variance = chi_moments(i)
-        adm = None if i == 1 else admissibility_integral(i)
         pf = fit_polynomial(i, cfg.degree_budget)
-        rows.append([i, _fmt(s_i), _fmt(mode), _fmt(expectation), _fmt(variance),
-                     "divergent" if adm is None else _fmt(adm), _fmt(pf.fit_error_linf),
-                     ";".join(_fmt(c) for c in pf.coeffs),
-                     ";".join(_fmt(c) for c in pf.cheb)])
         report.append({
-            "i": i, "normalization": s_i, "mode": mode,
+            "i": i, "normalization": normalization_constant(i), "mode": chi_mode(i),
             "expectation": expectation, "variance": variance,
-            "admissibility": adm,
+            "admissibility": None if i == 1 else admissibility_integral(i),
             "degree": pf.degree, "fit_error_linf": pf.fit_error_linf,
             "coeffs": [float(c) for c in pf.coeffs],
             "cheb": [float(c) for c in pf.cheb], "cheb_basis": CHEB_BASIS,
@@ -74,85 +67,86 @@ def cmd_filters(cfg: RunConfig, out: str) -> int:
         })
     _write_csv(os.path.join(out, "filters.csv"),
                ["i", "S_i", "mode", "expectation", "variance",
-                "admissibility", "fit_error_linf", "coeffs", "cheb"], rows)
+                "admissibility", "fit_error_linf", "coeffs", "cheb"],
+               [[r["i"], *(_fmt(r[k]) for k in ("normalization", "mode", "expectation",
+                                                "variance")),
+                 "divergent" if r["admissibility"] is None else _fmt(r["admissibility"]),
+                 _fmt(r["fit_error_linf"]), ";".join(map(_fmt, r["coeffs"])),
+                 ";".join(map(_fmt, r["cheb"]))] for r in report])
     _write_json(os.path.join(out, "filters.json"), report)
     return 0
 
 
-def _all_plans(cfg: RunConfig):
+def _load_graph(cfg: RunConfig) -> HeteroGraph:
+    """The config's graph: a JSON file, or a CSV directory (see
+    load_hetero_graph_csv)."""
     if not cfg.graph:
         raise ValueError("config key 'graph' is required for this command")
-    graph = load_hetero_graph(cfg.graph)
-    return graph, {o: plan_type(graph, o, cfg) for o in graph.node_types}
+    if os.path.isdir(cfg.graph):
+        return load_hetero_graph_csv(cfg.graph)
+    return load_hetero_graph(cfg.graph)
+
+
+def _all_plans(cfg: RunConfig):
+    graph = _load_graph(cfg)
+    return {o: plan_type(graph, o, cfg) for o in graph.node_types}
 
 
 def cmd_metapaths(cfg: RunConfig, out: str) -> int:
-    _, plans = _all_plans(cfg)
+    plans = _all_plans(cfg)
     if not any(tp.plan is not None for tp in plans.values()):
         raise ValueError("no valid meta-paths in the configured length range")
-    rows, report = [], []
+    report = []
     for o, tp in plans.items():
         reps = set(tp.plan.representatives.values()) if tp.plan else set()
-        for idx, (path, g) in enumerate(zip(tp.paths, tp.graphs)):
-            if g.is_empty:
-                status, division, score = "excluded: empty", "", ""
-            else:
-                status = "valid"
-                division = tp.plan.labels[idx]
-                score = _fmt(tp.plan.scores[idx])
-            rows.append([o, str(path), status, score, division,
-                         "representative" if idx in reps else ""])
-        entry = {"node_type": o,
-                 "paths": [{"path": str(p), "empty": g.is_empty,
-                            "s_high": None if g.is_empty else tp.plan.scores[i],
-                            "division": None if g.is_empty else tp.plan.labels[i],
-                            "representative": i in reps}
-                           for i, (p, g) in enumerate(zip(tp.paths, tp.graphs))],
-                 "divisions": [{"division": d,
-                                "representative": str(tp.paths[ri]),
-                                "band_max": tp.band_max[d],
-                                "assigned_filter": tp.assigned[d]}
-                               for d, ri in (tp.plan.representatives.items()
-                                             if tp.plan else [])]}
-        report.append(entry)
+        report.append({
+            "node_type": o,
+            "paths": [{"path": str(p), "empty": g.is_empty,
+                       "s_high": None if g.is_empty else tp.plan.scores[i],
+                       "division": None if g.is_empty else tp.plan.labels[i],
+                       "representative": i in reps}
+                      for i, (p, g) in enumerate(zip(tp.paths, tp.graphs))],
+            "divisions": [{"division": d,
+                           "representative": str(tp.paths[ri]),
+                           "band_max": tp.band_max[d],
+                           "assigned_filter": tp.assigned[d]}
+                          for d, ri in (tp.plan.representatives.items()
+                                        if tp.plan else [])]})
     _write_csv(os.path.join(out, "metapaths.csv"),
-               ["node_type", "path", "status", "s_high", "division", "role"], rows)
+               ["node_type", "path", "status", "s_high", "division", "role"],
+               [[r["node_type"], p["path"], "excluded: empty" if p["empty"] else "valid",
+                 "" if p["empty"] else _fmt(p["s_high"]), p["division"],
+                 "representative" if p["representative"] else ""]
+                for r in report for p in r["paths"]])
     _write_json(os.path.join(out, "metapaths.json"), report)
     return 0
 
 
 def cmd_analyze(cfg: RunConfig, out: str) -> int:
-    _, plans = _all_plans(cfg)
-    band_rows, report = [], []
-    for o, tp in plans.items():
+    report = []
+    for o, tp in _all_plans(cfg).items():
         if tp.plan is None:
             continue
         for division, rep_idx in tp.plan.representatives.items():
             profile = tp.profiles[division]
-            bands = []
-            for k in range(profile.num_bands):
-                lo, hi = profile.band_edges[k], profile.band_edges[k + 1]
-                bands.append({
-                    "band": k,
-                    "lambda_lo": float(profile.eigenvalues[lo]),
-                    "lambda_hi": float(profile.eigenvalues[hi - 1]),
-                    "energy": float(profile.band_energies[k]),
-                })
-                band_rows.append([o, division, k,
-                                  _fmt(profile.eigenvalues[lo]),
-                                  _fmt(profile.eigenvalues[hi - 1]),
-                                  _fmt(profile.band_energies[k])])
+            edges, eigenvalues = profile.band_edges, profile.eigenvalues
             report.append({
                 "node_type": o, "division": division,
                 "representative": str(tp.paths[rep_idx]),
                 "band_max": profile.band_max,
                 "assigned_filter": tp.assigned[division],
                 "total_energy": float(profile.energies.sum()),
-                "bands": bands,
+                "bands": [{"band": k,
+                           "lambda_lo": float(eigenvalues[edges[k]]),
+                           "lambda_hi": float(eigenvalues[edges[k + 1] - 1]),
+                           "energy": float(profile.band_energies[k])}
+                          for k in range(profile.num_bands)],
             })
     _write_csv(os.path.join(out, "bands.csv"),
                ["node_type", "division", "band", "lambda_lo", "lambda_hi", "energy"],
-               band_rows)
+               [[r["node_type"], r["division"], b["band"], _fmt(b["lambda_lo"]),
+                 _fmt(b["lambda_hi"]), _fmt(b["energy"])]
+                for r in report for b in r["bands"]])
     _write_json(os.path.join(out, "analyze.json"), report)
     return 0
 
@@ -166,9 +160,7 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: str) -> int:
-    if not cfg.graph:
-        raise ValueError("config key 'graph' is required for this command")
-    graph = load_hetero_graph(cfg.graph)
+    graph = _load_graph(cfg)
     model = build_model(graph, cfg)
     record = train(model, graph, cfg)
     save_checkpoint(model, os.path.join(out, "model.ckpt"),
@@ -182,9 +174,7 @@ def cmd_train(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: str) -> int:
-    if not cfg.graph:
-        raise ValueError("config key 'graph' is required for this command")
-    graph = load_hetero_graph(cfg.graph)
+    graph = _load_graph(cfg)
     ckpt = cfg.checkpoint or os.path.join(out, "model.ckpt")
     # the trained filter plan, not a fresh one: no ranking, no eigendecomposition
     model = build_model(graph, cfg, plan=checkpoint_plan(ckpt))
@@ -206,12 +196,13 @@ def _emit_metrics(model, graph, out: str, prefix: str) -> None:
 
 
 COMMANDS = {
-    "filters": cmd_filters,
-    "metapaths": cmd_metapaths,
-    "analyze": cmd_analyze,
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "eval": cmd_eval,
+    "filters": (cmd_filters, "dump the candidate filter table (CSV + JSON); the fit "
+                             f"error is that of the cheb series in {CHEB_BASIS}"),
+    "metapaths": (cmd_metapaths, "list meta-paths, divisions, and representatives"),
+    "analyze": (cmd_analyze, "dump spectral profiles of the division representatives"),
+    "synth": (cmd_synth, "generate a synthetic labeled graph"),
+    "train": (cmd_train, "train a model and write checkpoint, history, metrics"),
+    "eval": (cmd_eval, "score the graph with a checkpoint's weights and filter plan"),
 }
 
 
@@ -220,15 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chigad",
         description="Chi-Square graph wavelet anomaly detection on heterogeneous graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("filters", "dump the candidate filter table (CSV + JSON); the fit error "
-                    f"is that of the cheb series in {CHEB_BASIS}"),
-        ("metapaths", "list meta-paths, divisions, and representatives"),
-        ("analyze", "dump spectral profiles of the division representatives"),
-        ("synth", "generate a synthetic labeled graph"),
-        ("train", "train a model and write checkpoint, history, metrics"),
-        ("eval", "score the graph with a checkpoint's weights and filter plan"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -244,7 +227,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         cfg.validate()
         os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out)
+        return COMMANDS[args.command][0](cfg, args.out)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

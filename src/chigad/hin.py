@@ -8,7 +8,10 @@ masks live on one designated target type.
 Meta-paths are closed walks on the schema (same start and end type); each one
 materializes to a homogeneous graph over the anchor type by chaining the
 relation blocks.  Two degeneration methods flatten the whole graph to a single
-homogeneous adjacency (all nodes / target nodes only).
+homogeneous adjacency: Method 1 over all nodes, an edge wherever a relation
+links two nodes in either direction, and Method 2 over the target nodes T,
+read off Method 1's A as A[T, T] + A[T, N] A[T, N]^T (N every other node),
+binarized, without self-loops.
 
 Every graph operator downstream is the normalized Laplacian of such an
 adjacency: `laplacian(adj)` returns it as a plain canonical CSR matrix, whose
@@ -513,34 +516,17 @@ def degenerate_method1(graph: HeteroGraph) -> sp.csr_matrix:
 
 
 def degenerate_method2(graph: HeteroGraph, target: str) -> sp.csr_matrix:
-    """Adjacency over the target-type nodes only.  Two nodes connect when a
-    direct target-target relation links them or when they share a neighbor
-    under any relation pair (length-2 closure through any intermediate type)."""
+    """Adjacency over the target nodes T, from Method 1's adjacency A and N
+    every other node: A[T, T] + A[T, N] A[T, N]^T, binarized, diagonal cleared.
+    Two target nodes connect when a relation links them or when they share a
+    neighbor of another type, in either direction."""
     if target not in graph.node_counts:
         raise ValueError(f"target type '{target}' absent")
-    n = graph.node_counts[target]
-    acc = sp.csr_matrix((n, n))
-
-    # target x neighbor incidence per intermediate type, either edge direction
-    touch: dict[str, sp.csr_matrix] = {}
-    for rel in graph.relations:
-        if rel.src == target and rel.dst == target:
-            acc = acc + rel.adjacency + rel.adjacency.T
-            continue
-        if rel.src == target:
-            mid, block = rel.dst, rel.adjacency
-        elif rel.dst == target:
-            mid, block = rel.src, sp.csr_matrix(rel.adjacency.T)
-        else:
-            continue
-        prev = touch.get(mid)
-        touch[mid] = block if prev is None else prev + block
-
-    for block in touch.values():
-        b = _binarize(block)
-        acc = acc + b @ b.T
-
-    return _symmetrize_union(_clear_diagonal(_binarize(acc)))
+    lo = graph.type_offsets()[target]
+    hi = lo + graph.node_counts[target]
+    rows = degenerate_method1(graph)[lo:hi]
+    context = rows[:, np.r_[:lo, hi:rows.shape[1]]]
+    return _symmetrize_union(_clear_diagonal(_binarize(rows[:, lo:hi] + context @ context.T)))
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,9 @@ class ChiGadModel:
     activation: str
     mlp_layers: int
     plans: dict[str, TypePlan] = field(default_factory=dict)
+    # the build graph's relation blocks, by reference: the edges every
+    # operator above was built from
+    adjacency: list[sp.csr_matrix] = field(default_factory=list, repr=False)
 
 
 def graph_signature(graph: HeteroGraph) -> dict:
@@ -381,6 +384,7 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         activation=cfg.activation,
         mlp_layers=cfg.mlp_layers,
         plans=plans,
+        adjacency=[r.adjacency for r in graph.relations],
     )
 
 
@@ -427,12 +431,19 @@ def multi_graph_forward(bank: MultiGraphFilterBank, X: np.ndarray,
 
 def forward_pass(model: ChiGadModel, graph: HeteroGraph,
                  record: bool = True) -> ForwardPass:
-    """The model's forward pass on a graph of its schema; record=False for a
-    pass that will run no backward (see ForwardPass)."""
+    """The model's forward pass on a graph of its schema and edges, with any
+    features; record=False for a pass that will run no backward (see
+    ForwardPass)."""
     got = graph_signature(graph)
     want = {k: model.schema[k] for k in got}
     if got != want:
         raise ValueError("graph does not match the schema this model was built for")
+    for rel, built in zip(graph.relations, model.adjacency):
+        a = rel.adjacency
+        if a is not built and not (np.array_equal(a.indptr, built.indptr)
+                                   and np.array_equal(a.indices, built.indices)):
+            raise ValueError(f"relation '{rel.name}' has other edges than in the graph "
+                             "this model was built for")
 
     tape = ad.Tape(record)
     pnodes = {name: tape.leaf(arr, name) for name, arr in model.params.items()}

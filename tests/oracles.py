@@ -51,6 +51,50 @@ def walk_pairs(blocks, counts, type_seq):
     return pairs
 
 
+def method2_by_relations(graph, target):
+    """Method-2 adjacency over the target nodes, walked relation by relation.
+
+    Target-target relations add their edges both ways; every other relation
+    touching the target adds a target x context incidence block, in either
+    direction, to its context type.  Each context type's binarized block B adds
+    B B^T (target nodes sharing a neighbor).  The sum is binarized, its
+    diagonal cleared, and it is symmetrized by union with its transpose, each
+    step ending in canonical CSR (summed duplicates, sorted indices).
+    """
+    def canonical(m):
+        m = sp.csr_matrix(m)
+        m.sum_duplicates()
+        m.sort_indices()
+        return m
+
+    def binary(m):
+        m = canonical(m)
+        m.data = np.ones_like(m.data, dtype=np.float64)
+        m.eliminate_zeros()
+        return m
+
+    n = graph.node_counts[target]
+    acc = sp.csr_matrix((n, n))
+    touch = {}
+    for rel in graph.relations:
+        if rel.src == target and rel.dst == target:
+            acc = acc + rel.adjacency + rel.adjacency.T
+            continue
+        if rel.src == target:
+            mid, block = rel.dst, rel.adjacency
+        elif rel.dst == target:
+            mid, block = rel.src, sp.csr_matrix(rel.adjacency.T)
+        else:
+            continue
+        touch[mid] = block if mid not in touch else touch[mid] + block
+    for block in touch.values():
+        b = binary(block)
+        acc = acc + b @ b.T
+    acc = binary(acc)
+    acc = canonical(sp.triu(acc, 1) + sp.tril(acc, -1))
+    return binary(acc + acc.T)
+
+
 def bfs_components(adjacency):
     """Component id of each node by breadth-first search from each unseen node."""
     neighbors = sp.lil_matrix(adjacency).rows

@@ -409,6 +409,46 @@ class TestCliGraphCommands:
         assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "eval_metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
+    def test_csv_directory_matches_json(self, tmp_path):
+        # the same graph as a CSV directory (features by repr, so they read
+        # back exactly) trains and scores byte-identically
+        gpath = self.synth_graph(tmp_path)
+        graph = load_hetero_graph(gpath)
+        gdir = tmp_path / "csv"
+        gdir.mkdir()
+        (gdir / "meta.json").write_text(json.dumps({
+            "node_types": graph.node_types, "target_type": graph.target_type,
+            "relations": [{"name": r.name, "src": r.src, "dst": r.dst}
+                          for r in graph.relations]}))
+        for t in graph.node_types:
+            feats = graph.features[t]
+            header = [f"f{j}" for j in range(feats.shape[1])]
+            rows = [[repr(float(x)) for x in row] for row in feats]
+            if t == graph.target_type:
+                header.append("label")
+                for row, lab in zip(rows, graph.labels):
+                    row.append("" if lab < 0 else str(lab))
+            with open(gdir / f"nodes_{t}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + rows)
+        for r in graph.relations:
+            with open(gdir / f"edges_{r.name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([["u", "v"]] + np.column_stack(
+                    r.adjacency.nonzero()).tolist())
+        with open(gdir / "splits.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["id", "split"]] + [
+                [int(k), split] for split, mask in graph.split_masks.items()
+                for k in np.nonzero(mask)[0]])
+
+        runs = {}
+        for name, source in (("json", gpath), ("csv", gdir)):
+            cfg = write_cfg(tmp_path / f"{name}.cfg", [f"graph = {source}"] + SMALL_TRAIN)
+            runs[name] = tmp_path / f"run-{name}"
+            assert main(["train", "--config", cfg, "--out", str(runs[name])]) == 0
+            assert main(["eval", "--config", cfg, "--out", str(runs[name])]) == 0
+        for artifact in ("history.csv", "metrics.json", "eval_metrics.json"):
+            assert ((runs["csv"] / artifact).read_bytes()
+                    == (runs["json"] / artifact).read_bytes()), artifact
+
     def test_eval_explicit_checkpoint_key(self, tmp_path):
         gpath = self.synth_graph(tmp_path)
         run = tmp_path / "run"

@@ -11,8 +11,10 @@ from chigad.hin import (GraphFormatError, MetaPath, degenerate_method1,
                         hetero_graph_from_dict, laplacian, load_hetero_graph,
                         load_hetero_graph_csv, materialize_meta_path_graph,
                         save_hetero_graph)
-from conftest import make_hin
-from oracles import dfs_meta_paths, walk_pairs
+from chigad.config import SyntheticSpec
+from chigad.synthetic import generate_synthetic_hin
+from conftest import make_hin, make_one_type_hin
+from oracles import dfs_meta_paths, method2_by_relations, walk_pairs
 
 
 def paper_schema_doc():
@@ -457,6 +459,73 @@ class TestDegeneration:
     def test_method2_unknown_type(self, tiny_hin):
         with pytest.raises(ValueError):
             degenerate_method2(tiny_hin, "zz")
+
+
+def edge_case_doc():
+    """Target A with a self-loop and one-way A -> A edges, two relations
+    between A and P, an A -> Q relation with no reverse, and a P -> Q
+    relation between two context types."""
+    return {
+        "node_types": [
+            {"name": "A", "count": 5, "feature_dim": 1, "features": [[0]] * 5},
+            {"name": "P", "count": 3, "feature_dim": 1, "features": [[0]] * 3},
+            {"name": "Q", "count": 2, "feature_dim": 1, "features": [[0]] * 2},
+        ],
+        "relations": [
+            {"name": "aa", "src": "A", "dst": "A", "edges": [[0, 0], [1, 2], [3, 2]]},
+            {"name": "ap", "src": "A", "dst": "P", "edges": [[0, 0], [1, 0], [3, 1]]},
+            {"name": "pa", "src": "P", "dst": "A", "edges": [[1, 2], [2, 4]]},
+            {"name": "aq", "src": "A", "dst": "Q", "edges": [[2, 0], [4, 0]]},
+            {"name": "pq", "src": "P", "dst": "Q", "edges": [[0, 0], [1, 1]]},
+        ],
+        "target_type": "A",
+        "labels": [0, 1, 0, 0, 1],
+        "splits": {"train": [0, 1], "val": [2], "test": [3, 4]},
+    }
+
+
+class TestMethod2Reference:
+    """Method 2 read off Method 1 equals the relation-walking reference bit
+    for bit: the same indptr, indices and data."""
+
+    @staticmethod
+    def assert_same(graph, target):
+        got, want = degenerate_method2(graph, target), method2_by_relations(graph, target)
+        assert got.shape == want.shape
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synthetic_every_target(self, seed):
+        g = generate_synthetic_hin(SyntheticSpec(), seed)
+        for target in g.node_types:
+            self.assert_same(g, target)
+
+    @pytest.mark.parametrize("extra_relation", [False, True])
+    def test_make_hin(self, extra_relation):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            g = make_hin(rng, sizes=tuple(int(k) for k in rng.integers(4, 10, size=3)),
+                         extra_relation=extra_relation)
+            for target in g.node_types:
+                self.assert_same(g, target)
+
+    def test_one_type(self):
+        rng = np.random.default_rng(12)
+        for n in (4, 9, 16):
+            self.assert_same(make_one_type_hin(rng, n=n), "n")
+
+    def test_edge_cases(self):
+        g = hetero_graph_from_dict(edge_case_doc())
+        for target in g.node_types:
+            self.assert_same(g, target)
+        adj = degenerate_method2(g, "A").toarray()
+        # the one-way 1 -> 2 and 3 -> 2 edges, P0 shared by 0 and 1 (ap), P1
+        # by 3 (ap) and 2 (pa), Q0 by 2 and 4 (aq, no reverse); no self-loop,
+        # and no 1 - 3 edge: the walk 1 - 2 - 3 runs through the target type
+        want = {(1, 2), (0, 1), (2, 3), (2, 4)}
+        assert {(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))} == want
+        assert np.array_equal(adj, adj.T)
 
 
 class TestLaplacian:

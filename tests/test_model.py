@@ -179,6 +179,34 @@ class TestForward:
         with pytest.raises(ValueError, match="schema"):
             forward_pass(model, other)
 
+    def test_edge_guard(self):
+        # same counts, widths and nnz per relation, other edges: the model's
+        # operators are the build graph's, so the graph is refused
+        g = generate_synthetic_hin(
+            SyntheticSpec(sizes=(40, 10, 10), feature_dims=(3, 3, 3)), 0)
+        cfg = RunConfig(candidates=(1, 3), bands=3, aligned_dim=8, mlp_layers=2)
+        model = build_model(g, cfg)
+        rng = np.random.default_rng(3)
+        for name, arr in model.params.items():
+            model.params[name] = arr + rng.normal(0.0, 0.5, np.shape(arr))
+        perm = np.random.default_rng(1).permutation(10)
+        doc = hetero_graph_to_dict(g)
+        for rel in doc["relations"]:
+            if {rel["src"], rel["dst"]} == {"t1", "t2"}:
+                col = 1 if rel["dst"] == "t2" else 0
+                for e in rel["edges"]:
+                    e[col] = int(perm[e[col]])
+        other = hetero_graph_from_dict(doc)
+        assert graph_signature(other) == graph_signature(g)
+        with pytest.raises(ValueError, match="relation 'r_t1_t2' has other edges"):
+            forward_pass(model, other)
+        # what the refused pass would have returned differs from the same
+        # weights on a model built for that graph from the same plan
+        fresh = build_model(other, cfg, plan=plan_document(model.plans))
+        fresh.params = {k: v.copy() for k, v in model.params.items()}
+        stale = forward_pass(model, g, record=False).prob
+        assert np.abs(forward_pass(fresh, other, record=False).prob - stale).max() > 0.05
+
     def test_bank_matches_dense_oracle(self):
         g, _, model = small_model()
         bank = model.banks["a"]
