@@ -34,11 +34,10 @@ def run_mode(graph, mode, seed, epochs):
                     synth=SPEC, seed=seed)
     model = build_model(graph, cfg)
     if mode == "lowpass1":
-        # the cached bank powers start S^0 X, S^1 X: the low-pass needs those two
         lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1 - w/2 as 1/2 - T_1(w - 1)/2
         for bank in model.banks.values():
             for e in bank.entries:
-                e.poly, e.basis = lowpass, e.basis[:2]
+                e.poly = lowpass
         model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
                                         model.conv.width)
     record = train(model, graph, cfg)

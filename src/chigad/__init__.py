@@ -12,8 +12,8 @@ from .hin import (HeteroGraph, MetaPath, MetaPathGraph, Relation,
                   save_hetero_graph)
 from .metrics import (MetricsRecord, auprc, auroc, compute_metrics, f1_macro,
                       pr_points, recall, roc_points)
-from .model import (ChiGadModel, build_model, chigad_forward, forward_pass,
-                    load_checkpoint, save_checkpoint)
+from .model import (ChiGadModel, build_model, forward_pass, load_checkpoint,
+                    save_checkpoint)
 from .spectral import (DivisionPlan, FusedFilter, SpectralProfile,
                        assign_filter, fuse_filters, graph_s_high, s_high,
                        select_representatives, spectral_profile,

@@ -89,7 +89,7 @@ def _load_graph(cfg: RunConfig) -> HeteroGraph:
 
 def _all_plans(cfg: RunConfig):
     graph = _load_graph(cfg)
-    return {o: plan_type(graph, o, cfg) for o in graph.node_types}
+    return {o: plan_type(graph, o, cfg)[0] for o in graph.node_types}
 
 
 def cmd_metapaths(cfg: RunConfig, out: str) -> int:
@@ -99,13 +99,14 @@ def cmd_metapaths(cfg: RunConfig, out: str) -> int:
     report = []
     for o, tp in plans.items():
         reps = set(tp.plan.representatives.values()) if tp.plan else set()
+        # the label is None exactly on the empty graphs
+        labels = tp.plan.labels if tp.plan else [None] * len(tp.paths)
         report.append({
             "node_type": o,
-            "paths": [{"path": str(p), "empty": g.is_empty,
-                       "s_high": None if g.is_empty else tp.plan.scores[i],
-                       "division": None if g.is_empty else tp.plan.labels[i],
-                       "representative": i in reps}
-                      for i, (p, g) in enumerate(zip(tp.paths, tp.graphs))],
+            "paths": [{"path": str(p), "empty": label is None,
+                       "s_high": None if label is None else tp.plan.scores[i],
+                       "division": label, "representative": i in reps}
+                      for i, (p, label) in enumerate(zip(tp.paths, labels))],
             "divisions": [{"division": d,
                            "representative": str(tp.paths[ri]),
                            "band_max": tp.band_max[d],

@@ -1,9 +1,10 @@
 """Run configuration: a flat key = value text file with validated fields.
 
-Unknown keys are rejected outright so a typo cannot silently fall back to a
-default.  All randomness in a run flows from the single `seed` through named
-sub-seeds, one per consumer (generator, init, sampling), so changing the seed
-changes everything and fixing it reproduces every artifact byte for byte.
+Unknown and repeated keys are rejected outright so a typo cannot silently
+fall back to a default or override an earlier line.  All randomness in a run
+flows from the single `seed` through named sub-seeds, one per consumer
+(generator, init, sampling), so changing the seed changes everything and
+fixing it reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from dataclasses import dataclass, field, fields
 from .autodiff import ACTIVATIONS
 
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 8, 16, 32, 64, 128)
+# the RunConfig fields that fix the architecture a checkpoint must agree on
+ARCH_KEYS = ("candidates", "bands", "w_d", "degree_budget", "aligned_dim",
+             "path_min", "path_max", "activation", "mlp_layers")
 
 
 def _require_finite(obj, key_prefix: str = "") -> None:
@@ -111,18 +115,9 @@ class RunConfig:
         self.synth.validate()
 
     def arch_fingerprint(self) -> dict:
-        """The architecture-determining fields a checkpoint must agree on."""
-        return {
-            "candidates": list(self.candidates),
-            "bands": self.bands,
-            "w_d": self.w_d,
-            "degree_budget": self.degree_budget,
-            "aligned_dim": self.aligned_dim,
-            "path_min": self.path_min,
-            "path_max": self.path_max,
-            "activation": self.activation,
-            "mlp_layers": self.mlp_layers,
-        }
+        """The ARCH_KEYS entries of config_to_dict."""
+        doc = config_to_dict(self)
+        return {k: doc[k] for k in ARCH_KEYS}
 
 
 def sub_seed(seed: int, name: str) -> int:
@@ -146,8 +141,10 @@ def _parse_value(value: str, current):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys error."""
+    """Parse `key = value` lines; '#' starts a comment; unknown and repeated
+    keys error."""
     cfg = RunConfig()
+    seen: dict[str, int] = {}       # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +155,10 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise ValueError(f"config line {lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key '{key}' already set "
+                             f"on line {seen[key]}")
+        seen[key] = lineno
         owner, name = _KEYS[key]
         target = cfg if owner is None else getattr(cfg, owner)
         try:
@@ -173,17 +174,10 @@ def load_config(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "synth":
-            out["synth"] = {sf.name: list(getattr(v, sf.name))
-                            if isinstance(getattr(v, sf.name), tuple)
-                            else getattr(v, sf.name)
-                            for sf in fields(v)}
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        else:
-            out[f.name] = v
-    return out
+def config_to_dict(cfg: RunConfig | SyntheticSpec) -> dict:
+    """Every field by name: tuples as lists, the synthetic spec as a dict."""
+    def plain(v):
+        if isinstance(v, SyntheticSpec):
+            return config_to_dict(v)
+        return list(v) if isinstance(v, tuple) else v
+    return {f.name: plain(getattr(cfg, f.name)) for f in fields(cfg)}

@@ -8,7 +8,7 @@ zero-division -> 0 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,8 +21,7 @@ class MetricsRecord:
     recall: float
 
     def as_dict(self) -> dict:
-        return {"auroc": self.auroc, "auprc": self.auprc,
-                "f1_macro": self.f1_macro, "recall": self.recall}
+        return asdict(self)
 
 
 def _check(scores, labels):

@@ -30,8 +30,8 @@ Three stages, built per graph:
 Every shift operator S is a normalized Laplacian, held as the plain CSR
 matrix `laplacian(adj)` returns: its spectrum lies in [0, 2], the interval
 the filters are fitted on.  An ablation is built by swapping filters on a
-built model (each bank entry's `poly` and cached `basis`, and the `conv`
-layer), not by a config key.
+built model (each bank entry's `poly`, whose cached powers follow its length,
+and the `conv` layer), not by a config key.
 
 The homogeneous variant (ChiGNN) is the same network on a graph with one node
 type n and one relation e: n -> n.  With path_min = path_max = 1 its one
@@ -41,7 +41,8 @@ the same graph.
 Stage 1's filters come from a per-type spectral plan (s_high ranking, one
 profiled representative per division, the nearest Chi-Square mode).  A
 checkpoint stores that plan, and `build_model(graph, cfg, plan)` reuses it
-instead of ranking and profiling again.
+instead of ranking and profiling again.  A built model keeps only what its
+forward pass and its checkpoint read: no meta-path graph outlives the build.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ from .chifilter import PolyFilter, fit_polynomial
 from .config import RunConfig, sub_seed
 from .hin import (HeteroGraph, MetaPath, MetaPathGraph, degenerate_method1,
                   enumerate_meta_paths, laplacian, materialize_meta_path_graph)
-from .spectral import (DEFAULT_EIG_CAP, DEGENERATE_DIVISION, DIVISIONS,
-                       DivisionPlan, SpectralProfile, assign_filter, fuse_filters,
-                       profile_capped, select_representatives)
+from .spectral import (DEGENERATE_DIVISION, DIVISIONS, DivisionPlan, SpectralProfile,
+                       assign_filter, fuse_filters, profile_capped,
+                       select_representatives)
 
 
 # relative L1 tail of the summed conv series dropped at build; |T_k| <= 1 on
@@ -106,9 +107,7 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TypePlan:
-    node_type: str
     paths: list[MetaPath]
-    graphs: list[MetaPathGraph]
     plan: DivisionPlan | None        # None when no valid meta-path exists
     band_max: dict[str, float]
     assigned: dict[str, int]         # division -> filter index
@@ -117,31 +116,32 @@ class TypePlan:
 
 
 def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
-              stored: dict | None = None) -> TypePlan:
+              stored: dict | None = None) -> tuple[TypePlan, list[MetaPathGraph]]:
     """Enumerate and materialize the meta-path graphs of one node type, then
     rank and profile them; given a stored plan document (see `plan_document`),
     check it against the graphs and use it instead of ranking and profiling.
-    """
+    Returns the plan and the graphs."""
     paths = enumerate_meta_paths(graph, node_type, cfg.path_min, cfg.path_max)
     graphs = [materialize_meta_path_graph(graph, p) for p in paths]
     if stored is not None:
-        return _restore_type_plan(node_type, paths, graphs, stored, cfg.candidates)
+        return _restore_type_plan(node_type, paths, graphs, stored, cfg.candidates), graphs
     X = graph.features[node_type]
     if not any(not g.is_empty for g in graphs):
-        return TypePlan(node_type, paths, graphs, None, {}, {})
+        return TypePlan(paths, None, {}, {}), graphs
+    if not X.any():
+        raise ValueError(f"node type '{node_type}': every feature is zero, so its "
+                         "meta-path graphs cannot be ranked by s_high")
     plan = select_representatives(graphs, X)
     band_max: dict[str, float] = {}
     assigned: dict[str, int] = {}
     profiles: dict[str, SpectralProfile] = {}
     for division, rep_idx in plan.representatives.items():
-        rep = graphs[rep_idx]
-        k_eff = min(cfg.bands, rep.num_nodes, DEFAULT_EIG_CAP)
-        profile = profile_capped(rep, X, k_eff, DEFAULT_EIG_CAP,
-                                 sub_seed(cfg.seed, f"profile:{node_type}:{division}"))
+        profile = profile_capped(graphs[rep_idx], X, cfg.bands,
+                                 seed=sub_seed(cfg.seed, f"profile:{node_type}:{division}"))
         profiles[division] = profile
         band_max[division] = profile.band_max
         assigned[division] = assign_filter(profile.band_max, list(cfg.candidates))
-    return TypePlan(node_type, paths, graphs, plan, band_max, assigned, profiles)
+    return TypePlan(paths, plan, band_max, assigned, profiles), graphs
 
 
 def plan_document(plans: dict[str, TypePlan]) -> dict:
@@ -170,7 +170,7 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
     if not any(not g.is_empty for g in graphs):
         if doc is not None:
             raise mismatch("paths", "the graph has no valid meta-path for this type")
-        return TypePlan(node_type, paths, graphs, None, {}, {})
+        return TypePlan(paths, None, {}, {})
     if doc is None:
         raise mismatch("paths", "no plan stored for a type with valid meta-paths")
     for key, kind in (("paths", list), ("labels", list), ("scores", list),
@@ -205,8 +205,7 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
             raise mismatch("assigned", f"'{d}' must be one of the candidates {candidates}")
     plan = DivisionPlan(list(labels), {d: reps[d] for d in divisions},
                         list(doc["scores"]), doc["degenerate"])
-    return TypePlan(node_type, paths, graphs, plan,
-                    {d: float(band_max[d]) for d in divisions},
+    return TypePlan(paths, plan, {d: float(band_max[d]) for d in divisions},
                     {d: assigned[d] for d in divisions})
 
 
@@ -219,7 +218,6 @@ class BankEntry:
     operator: sp.csr_matrix     # normalized Laplacian of the meta-path graph
     poly: PolyFilter            # the fused filter's fit
     weight_name: str
-    division: str
     basis: list[np.ndarray] = field(default_factory=list, repr=False)  # S^k X
 
 
@@ -230,14 +228,14 @@ class MultiGraphFilterBank:
     features: np.ndarray | None = field(default=None, repr=False)  # X of the bases
 
     def refresh_basis(self, X: np.ndarray) -> None:
-        """Make every entry's cached powers S^k X those of X; a no-op when
-        they already are, a rebuild when X differs from the cached features."""
-        if self.features is not None and np.array_equal(self.features, X):
-            return
-        X = np.array(X, dtype=np.float64)
+        """Make every entry's cached powers S^k X those of X, one per
+        coefficient of its filter; rebuild only the entries that differ."""
+        stale = self.features is None or not np.array_equal(self.features, X)
+        if stale:
+            self.features = np.array(X, dtype=np.float64)
         for e in self.entries:
-            e.basis = list(ad.monomial_powers(e.operator, X, len(e.poly.cheb)))
-        self.features = X
+            if stale or len(e.basis) != len(e.poly.cheb):
+                e.basis = list(ad.monomial_powers(e.operator, self.features, len(e.poly.cheb)))
 
 
 @dataclass(eq=False)
@@ -270,7 +268,6 @@ class MetaGraphConvLayer:
 @dataclass(eq=False)
 class ChiGadModel:
     node_types: list[str]
-    target_type: str
     banks: dict[str, MultiGraphFilterBank]
     conv: MetaGraphConvLayer
     params: dict[str, np.ndarray]      # declaration order = checkpoint order
@@ -329,21 +326,21 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
     banks: dict[str, MultiGraphFilterBank] = {}
     plans: dict[str, TypePlan] = {}
     for o in graph.node_types:
-        tp = plan_type(graph, o, cfg, plan)
+        tp, graphs = plan_type(graph, o, cfg, plan)
         plans[o] = tp
         entries: list[BankEntry] = []
         if tp.plan is not None:
             # the fused filter depends on the division, not on the graph
             fused = {v: fuse_filters(tp.assigned, v, cfg.w_d, cfg.degree_budget).poly
                      for v in tp.assigned}
-            for idx, g in enumerate(tp.graphs):
-                division = tp.plan.labels[idx]
+            for idx, division in enumerate(tp.plan.labels):
                 if division is None:
                     continue
                 name = f"wS[{o}][{idx}]"
                 params[name] = np.asarray(1.0)
-                entries.append(BankEntry(laplacian(g.adjacency), fused[division], name,
-                                         division))
+                entries.append(BankEntry(laplacian(graphs[idx].adjacency), fused[division],
+                                         name))
+        del graphs      # let them go before the next type is planned
         banks[o] = MultiGraphFilterBank(o, entries)
         banks[o].refresh_basis(graph.features[o])
 
@@ -375,7 +372,6 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
     shash = _hash_schema(schema, [[n, list(p.shape)] for n, p in params.items()])
     return ChiGadModel(
         node_types=list(graph.node_types),
-        target_type=graph.target_type,
         banks=banks,
         conv=conv,
         params=params,
@@ -473,12 +469,6 @@ def forward_pass(model: ChiGadModel, graph: HeteroGraph,
     return ForwardPass(tape, softmax_rows(h.value), h, rep, pnodes, activated)
 
 
-def chigad_forward(model: ChiGadModel, graph: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities over target nodes and the pre-head representation."""
-    fp = forward_pass(model, graph, record=False)
-    return fp.prob, fp.rep.value
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -518,7 +508,10 @@ def save_checkpoint(model: ChiGadModel, path: str, extra: dict | None = None) ->
 
 
 def _read_header(fh) -> dict:
-    header = json.loads(fh.readline().decode())
+    try:
+        header = json.loads(fh.readline().decode())
+    except ValueError:      # not UTF-8, or not JSON
+        raise ValueError("not a model checkpoint file") from None
     magic = header.get("magic") if isinstance(header, dict) else None
     if isinstance(magic, str) and magic in RETIRED_FORMATS:
         raise ValueError(f"checkpoint format {magic} {RETIRED_FORMATS[magic]} and is "

@@ -157,8 +157,10 @@ def subsample_graph(graph: MetaPathGraph, X: np.ndarray, cap: int,
 
 def profile_capped(graph: MetaPathGraph, X: np.ndarray, K: int,
                    eig_cap: int = DEFAULT_EIG_CAP, seed: int = 0) -> SpectralProfile:
+    """Profile of the graph, or of its seeded induced subsample on eig_cap
+    nodes when it is larger, in K bands or one per profiled node if fewer."""
     g, feats = subsample_graph(graph, X, eig_cap, seed)
-    return spectral_profile(g, feats, K, eig_cap)
+    return spectral_profile(g, feats, min(K, g.num_nodes), eig_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,11 @@ def small_cfg():
 def lowpass_ablation(model):
     """Swap every filter of a built model for the degree-1 low-pass 1 - w/2
     (response 1 at w = 0, 0 at w = 2), the ablation baseline.  Each bank
-    entry's cached powers start S^0 X, S^1 X, so its first two are exactly
-    the basis the low-pass needs."""
+    entry's cached powers follow its filter's length on the next pass."""
     lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1/2 - T_1(w - 1)/2
     for bank in model.banks.values():
         for e in bank.entries:
             e.poly = lowpass
-            e.basis = e.basis[:2]
     model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
                                     model.conv.width)
     return model

@@ -12,7 +12,7 @@ import chigad
 from chigad import spectral
 from chigad.chifilter import admissibility_integral, chi_response
 from chigad.cli import main
-from chigad.config import (DEFAULT_CANDIDATES, RunConfig, SyntheticSpec,
+from chigad.config import (ARCH_KEYS, DEFAULT_CANDIDATES, RunConfig, SyntheticSpec,
                            config_to_dict, load_config, parse_config, sub_seed)
 from chigad.hin import load_hetero_graph, save_hetero_graph
 from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC, build_model,
@@ -20,7 +20,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC, build_model,
 from chigad.training import split_metrics
 from conftest import make_one_type_hin
 from oracles import monomial_coeffs
-from test_model import refeatured, rewrite_header
+from test_model import featureless, refeatured, rewrite_header
 
 
 class TestConfigDefaults:
@@ -96,6 +96,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="config line 1: unknown key 'synth'"):
             parse_config("synth = 1")
 
+    def test_repeated_key(self):
+        with pytest.raises(ValueError, match=(
+                "config line 3: key 'candidates' already set on line 1")):
+            parse_config("candidates = 1, 3\nepochs = 5\ncandidates = 7\n")
+        with pytest.raises(ValueError, match=(
+                "config line 2: key 'synth_shift' already set on line 1")):
+            parse_config("synth_shift = 1.0\nsynth_shift = 1.0\n")
+
     def test_bad_value(self):
         with pytest.raises(ValueError, match="line 1: bad value for 'bands'"):
             parse_config("bands = three")
@@ -163,6 +171,14 @@ class TestParsing:
         assert d["candidates"] == [1, 2]
         assert d["seed"] == 3
         assert d["synth"]["sizes"] == [300, 150, 150]
+
+    def test_arch_fingerprint_unchanged(self):
+        # the schema hash of every checkpoint depends on this dict
+        want = {"candidates": [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 2, 4, 8, 16, 32, 64, 128],
+                "bands": 10, "w_d": 0.1, "degree_budget": 3, "aligned_dim": 512,
+                "path_min": 2, "path_max": 3, "activation": "relu", "mlp_layers": 4}
+        assert RunConfig().arch_fingerprint() == want
+        assert tuple(want) == ARCH_KEYS
 
 
 class TestSubSeed:
@@ -486,6 +502,15 @@ class TestCliErrors:
         self.check_error(capsys, ["analyze", "--config", cfg,
                                   "--out", str(tmp_path / "o")], "error:")
 
+    def test_train_featureless_type(self, tmp_path, capsys):
+        gpath = TestCliGraphCommands().synth_graph(tmp_path)
+        save_hetero_graph(featureless(load_hetero_graph(gpath), "t1", "zeros"), gpath)
+        cfg = write_cfg(tmp_path / "c.cfg", [f"graph = {gpath}"] + SMALL_TRAIN)
+        err = self.check_error(capsys, ["train", "--config", cfg,
+                                        "--out", str(tmp_path / "o")], "")
+        assert err == ("error: node type 't1': every feature is zero, so its meta-path "
+                       "graphs cannot be ranked by s_high\n")
+
     def test_eval_v1_checkpoint(self, tmp_path, capsys):
         _, cfg, run = TestCliGraphCommands().trained(tmp_path)
         rewrite_header(run / "model.ckpt", lambda h: h.update(magic=CHECKPOINT_V1_MAGIC))
@@ -521,7 +546,7 @@ class TestCliImport:
             "from chigad.model import plan_type\n"
             "g = generate_synthetic_hin(SyntheticSpec(sizes=(40, 10, 10), "
             "feature_dims=(3, 3, 3)), 0)\n"
-            "tp = plan_type(g, g.target_type, RunConfig(candidates=(1, 3), bands=3))\n"
+            "tp, _ = plan_type(g, g.target_type, RunConfig(candidates=(1, 3), bands=3))\n"
             "assert tp.profiles\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
             "from chigad.model import build_model, forward_pass\n"

@@ -8,12 +8,13 @@ import pytest
 from scipy.sparse import _sparsetools
 
 from chigad import autodiff as ad
+from chigad import model as model_module
 from chigad.chifilter import PolyFilter, fit_polynomial
 from chigad.config import RunConfig, sub_seed
 from chigad.hin import hetero_graph_from_dict, hetero_graph_to_dict
 from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
-                          MetaGraphConvLayer, build_model, chigad_forward,
-                          checkpoint_plan, cut_series, forward_pass,
+                          MetaGraphConvLayer, build_model, checkpoint_plan,
+                          cut_series, forward_pass,
                           graph_signature, load_checkpoint, multi_graph_forward,
                           plan_document, plan_type, save_checkpoint, softmax_rows,
                           summed_coeffs)
@@ -43,6 +44,17 @@ def rewrite_header(path, edit):
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[nl:])
 
 
+def featureless(graph, node_type, how):
+    """The graph with one node type's features all zero ("zeros") or with no
+    feature column at all ("no_columns")."""
+    doc = hetero_graph_to_dict(graph)
+    spec = next(s for s in doc["node_types"] if s["name"] == node_type)
+    if how == "no_columns":
+        spec["feature_dim"] = 0
+    spec["features"] = np.zeros((spec["count"], spec["feature_dim"])).tolist()
+    return hetero_graph_from_dict(doc)
+
+
 def small_model(rng_seed=42, **cfg_kw):
     rng = np.random.default_rng(rng_seed)
     g = make_hin(rng, extra_relation=True)
@@ -67,9 +79,8 @@ class TestPlanning:
         g, cfg, model = small_model()
         for o in g.node_types:
             tp = model.plans[o]
-            assert tp.node_type == o
-            assert len(tp.paths) == len(tp.graphs)
             if tp.plan is not None:
+                assert len(tp.plan.labels) == len(tp.paths)
                 for div in tp.plan.divisions:
                     assert div in tp.band_max
                     assert tp.assigned[div] in cfg.candidates
@@ -86,8 +97,45 @@ class TestPlanning:
         g, _, _ = small_model()
         cfg = RunConfig(candidates=(1, 2), bands=10, aligned_dim=4,
                         mlp_layers=1, seed=0)
-        tp = plan_type(g, "b", cfg)
-        assert tp.plan is not None
+        tp, graphs = plan_type(g, "b", cfg)
+        assert tp.plan is not None and len(graphs) == len(tp.paths)
+        for division, rep in tp.plan.representatives.items():
+            assert tp.profiles[division].num_bands == graphs[rep].num_nodes < 10
+
+    @pytest.mark.parametrize("node_type", ["t0", "t1"])
+    @pytest.mark.parametrize("how", ["zeros", "no_columns"])
+    def test_featureless_type_named(self, node_type, how):
+        # t0 is the target type; s_high ranks on the features, so a type
+        # without a nonzero one cannot be planned
+        g = featureless(generate_synthetic_hin(
+            SyntheticSpec(sizes=(40, 10, 10), feature_dims=(3, 3, 3)), 0), node_type, how)
+        cfg = RunConfig(candidates=(1, 3), bands=3, aligned_dim=8, mlp_layers=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"node type '{node_type}': every feature is zero, so its meta-path "
+                "graphs cannot be ranked by s_high")):
+            build_model(g, cfg)
+
+    def test_model_lets_meta_path_graphs_go(self, monkeypatch):
+        # a built model holds the bank operators, not the meta-path graphs
+        # they were built from
+        refs = []
+        materialize = model_module.materialize_meta_path_graph
+
+        def tracked(graph, path):
+            g = materialize(graph, path)
+            refs.append(weakref.ref(g.adjacency))
+            return g
+
+        monkeypatch.setattr(model_module, "materialize_meta_path_graph", tracked)
+        g = make_hin(np.random.default_rng(42), extra_relation=True)
+        gc.disable()
+        try:
+            model = build_model(g, RunConfig(candidates=(1, 2, 3), bands=3, aligned_dim=5,
+                                             mlp_layers=2))
+            assert refs and all(r() is None for r in refs)
+            assert any(bank.entries for bank in model.banks.values())
+        finally:
+            gc.enable()
 
 
 class TestBuild:
@@ -148,8 +196,9 @@ class TestBuild:
         shared = 0
         for o, bank in model.banks.items():
             tp = model.plans[o]
-            for division in {e.division for e in bank.entries}:
-                polys = [e.poly for e in bank.entries if e.division == division]
+            labels = [lab for lab in tp.plan.labels if lab is not None] if tp.plan else []
+            for division in set(labels):
+                polys = [e.poly for e, lab in zip(bank.entries, labels) if lab == division]
                 assert all(p is polys[0] for p in polys)
                 shared += len(polys) > 1
                 want = fuse_filters(tp.assigned, division, cfg.w_d, cfg.degree_budget)
@@ -160,7 +209,8 @@ class TestBuild:
 class TestForward:
     def test_prob_rows_normalized(self):
         g, _, model = small_model()
-        prob, rep = chigad_forward(model, g)
+        fp = forward_pass(model, g, record=False)
+        prob, rep = fp.prob, fp.rep.value
         assert prob.shape == (6, 2)
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(prob >= 0)
@@ -168,10 +218,10 @@ class TestForward:
 
     def test_forward_deterministic(self):
         g, _, model = small_model()
-        p1, r1 = chigad_forward(model, g)
-        p2, r2 = chigad_forward(model, g)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(r1, r2)
+        f1 = forward_pass(model, g, record=False)
+        f2 = forward_pass(model, g, record=False)
+        assert np.array_equal(f1.prob, f2.prob)
+        assert np.array_equal(f1.rep.value, f2.rep.value)
 
     def test_schema_guard(self):
         g, cfg, model = small_model()
@@ -247,15 +297,15 @@ class TestForward:
                     [e.poly.coeffs.tolist() for e in fresh.banks[o].entries])
         fresh.params = {k: v.copy() for k, v in model.params.items()}
 
-        p0, r0 = chigad_forward(model, g)
-        p1, r1 = chigad_forward(model, doubled)
-        want_p, want_r = chigad_forward(fresh, doubled)
-        assert not np.allclose(r0, r1)
-        assert np.array_equal(p1, want_p)
-        assert np.array_equal(r1, want_r)
+        f0 = forward_pass(model, g, record=False)
+        f1 = forward_pass(model, doubled, record=False)
+        want = forward_pass(fresh, doubled, record=False)
+        assert not np.allclose(f0.rep.value, f1.rep.value)
+        assert np.array_equal(f1.prob, want.prob)
+        assert np.array_equal(f1.rep.value, want.rep.value)
         # and back again
-        p2, r2 = chigad_forward(model, g)
-        assert np.array_equal(p2, p0) and np.array_equal(r2, r0)
+        f2 = forward_pass(model, g, record=False)
+        assert np.array_equal(f2.prob, f0.prob) and np.array_equal(f2.rep.value, f0.rep.value)
 
     def test_zero_features_collapse_rows(self):
         # with all-zero inputs only the MLP biases drive the logits, so every
@@ -265,7 +315,7 @@ class TestForward:
         for nt in doc["node_types"]:
             nt["features"] = np.zeros((nt["count"], nt["feature_dim"])).tolist()
         gz = hetero_graph_from_dict(doc)
-        prob, _ = chigad_forward(model, gz)
+        prob = forward_pass(model, gz, record=False).prob
         assert np.allclose(prob, prob[0], atol=1e-12)
 
     def test_type_without_closed_path_keeps_raw_features(self):
@@ -295,7 +345,7 @@ class TestForward:
         model = build_model(g, cfg)
         assert model.banks["Z"].entries == []
         assert model.banks["A"].entries
-        prob, _ = chigad_forward(model, g)
+        prob = forward_pass(model, g, record=False).prob
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
 
     def test_empty_bank_direct_call_rejected(self):
@@ -326,8 +376,8 @@ class TestForward:
                 for u, v in rel["edges"]]
         g2 = hetero_graph_from_dict(doc)
 
-        p1, _ = chigad_forward(build_model(g, cfg), g)
-        p2, _ = chigad_forward(build_model(g2, cfg), g2)
+        p1 = forward_pass(build_model(g, cfg), g, record=False).prob
+        p2 = forward_pass(build_model(g2, cfg), g2, record=False).prob
         assert np.allclose(p1[perm], p2, atol=1e-9)
 
 
@@ -413,6 +463,17 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b'{"magic": "something-else"}\n')
         with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_checkpoint(model, str(path))
+
+    @pytest.mark.parametrize("content", [
+        b"hello\n", np.random.default_rng(0).bytes(200)], ids=["text", "binary"])
+    def test_header_not_utf8_json(self, tmp_path, content):
+        _, _, model = small_model()
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="^not a model checkpoint file$"):
+            checkpoint_plan(str(path))
+        with pytest.raises(ValueError, match="^not a model checkpoint file$"):
             load_checkpoint(model, str(path))
 
     def test_plan_round_trip(self, tmp_path):
@@ -600,10 +661,11 @@ class TestChiGnn:
         tp = model.plans["n"]
         assert [str(p) for p in tp.paths] == ["n-e-n"]
         assert tp.plan.degenerate and tp.plan.labels == ["all"]
-        assert [e.division for e in model.banks["n"].entries] == ["all"]
+        assert [e.weight_name for e in model.banks["n"].entries] == ["wS[n][0]"]
         assert model.conv.operator.shape[0] == g.node_counts["n"]
         assert [f.degree for f in model.conv.filters] == [1 - 1 + 3, 2 - 1 + 3]
-        prob, rep = chigad_forward(model, g)
+        fp = forward_pass(model, g, record=False)
+        prob, rep = fp.prob, fp.rep.value
         assert prob.shape == (12, 2) and rep.shape == (12, 4)
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
 
@@ -615,11 +677,10 @@ class TestChiGnn:
         bank = model.banks["n"]
         for e in bank.entries:
             e.poly = PolyFilter(np.array([1.0]), 0.0)
-        bank.features = None            # recache the powers for the new degree
         model.conv = MetaGraphConvLayer(model.conv.operator,
                                         [PolyFilter(np.array([1.0]), 0.0)],
                                         model.conv.rows, model.conv.width)
-        prob, _ = chigad_forward(model, g)
+        prob = forward_pass(model, g, record=False).prob
         p = model.params
         h = np.maximum(g.features["n"] @ p["W_align[n]"], 0.0)
         h = np.maximum(h @ p["mlp.0.W"] + p["mlp.0.b"], 0.0)
@@ -747,6 +808,20 @@ class TestDenseTargetBlock:
         for got, want in ((fp.rep.value, rep.value), (fp.conv_input.grad, x.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_filter_swap_sets_only_poly(self, c7_graph):
+        # a bank entry's cached powers follow its filter's length: swapping in
+        # the low-pass alone matches the old manual cut of the basis to two
+        graph, cfg = c7_graph
+        swapped = lowpass_ablation(build_model(graph, cfg))
+        cut = lowpass_ablation(build_model(graph, cfg))
+        for bank in cut.banks.values():
+            for e in bank.entries:
+                del e.basis[2:]
+        got = forward_pass(swapped, graph, record=False).prob
+        want = forward_pass(cut, graph, record=False).prob
+        assert got.tobytes() == want.tobytes()
+        assert all(len(e.basis) == 2 for b in swapped.banks.values() for e in b.entries)
+
     def test_recurrence_on_c7_and_lowpass_ablation(self, c7_graph):
         graph, cfg = c7_graph
         conv = build_model(graph, cfg).conv
@@ -783,7 +858,7 @@ class TestForwardOnlyPass:
         # only the banks read the monomial form; the conv applies its series
         model = build_model(defaults_graph, RunConfig())
         assert all("coeffs" not in vars(f) for f in model.conv.filters)
-        chigad_forward(model, defaults_graph)
+        forward_pass(model, defaults_graph, record=False)
         assert all("coeffs" not in vars(f) for f in model.conv.filters)
 
 
