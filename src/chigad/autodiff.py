@@ -24,12 +24,25 @@ off it (y > 0, or 1 - y^2 for tanh), so no mask is stored either.
 
 Gradients accumulate in place: a node's first gradient is stored as a copy
 of the incoming one, and later ones are added into it.  cheb_apply's
-recurrence allocates nothing per degree: it works in three buffers made once
-per application and adds each sparse product straight into one of them with
-scipy's CSR kernel, so its operator is a float64 CSR matrix.
+recurrence allocates nothing per degree: the calling thread makes three
+buffers of the input's size, and each sparse product is added straight into
+one of them with scipy's CSR kernel, so its operator is a float64 CSR matrix.
+An input of at least SPLIT_MIN entries is cut into WORKERS contiguous column
+parts (one per CPU this process may run on), each buffer into one block per
+part, and the parts' recurrences run at once, the first in the calling
+thread and the others on a pool made at the first split; the kernel and
+numpy's elementwise passes release the GIL.  The columns of the recurrence
+never mix and each is computed by the same operations in the same order, so
+a split result is the one-part result bit for bit, and whether to split
+depends on shapes alone.  csr_product, the training loop's product with the
+Laplacian, splits the rows of its result the same way.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -262,46 +275,143 @@ def _dw(cvals, w: float, powers, g) -> float:
     return dw
 
 
+# entries (rows * width) of the input from which clenshaw and csr_product
+# split their work over WORKERS threads.  On 2 vCPU the recurrence's split
+# lost on c7's conv input (600 x 32 = 19,200: 0.8 -> 1.2 ms per call), tied at
+# 48,000 and won from 96,000 on (plan-large's 384,000: 58 -> 30 ms); one
+# product's split tied at 12,800 and won from 32,000 (0.66 -> 0.43 ms).
+# Shapes alone decide, so a run computes the same bits on any host
+SPLIT_MIN = 100_000
+# threads a split runs on: the calling thread and WORKERS - 1 pool workers,
+# made at the first split.  With one CPU nothing splits and no pool is made
+WORKERS = len(os.sched_getaffinity(0))
+_pool: ThreadPoolExecutor | None = None
+
+
+def _check_csr(M, x: np.ndarray) -> None:
+    if getattr(M, "format", None) != "csr" or M.dtype != np.float64:
+        raise ValueError(f"operator must be a float64 CSR matrix, got {type(M).__name__}"
+                         f" of {getattr(M, 'dtype', None)}")
+    if x.shape[0] != M.shape[1]:
+        raise ValueError(f"operator {M.shape} does not fit signal rows {x.shape[0]}")
+
+
+def _parts(length: int, entries: int) -> list[slice]:
+    """range(length) cut into one contiguous slice per worker once an input
+    of `entries` entries reaches SPLIT_MIN, else the one slice of it all."""
+    count = min(WORKERS, length) if entries >= SPLIT_MIN else 1
+    cuts = [length * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _run_parts(fn, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs], the first job in the calling thread and
+    the others on the pool at the same time."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="chigad")
+    futures = [_pool.submit(fn, *job) for job in jobs[1:]]
+    return [fn(*jobs[0])] + [f.result() for f in futures]
+
+
+def _add_product(M, src: np.ndarray, dst: np.ndarray, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
+    """dst[lo:hi] += (M src)[lo:hi] in place, for C-contiguous src and dst:
+    scipy's CSR kernel on rows lo:hi of M, read where they lie."""
+    hi = M.shape[0] if hi is None else hi
+    width = src.shape[1] if src.ndim == 2 else 1
+    _sparsetools.csr_matvecs(hi - lo, M.shape[1], width, M.indptr[lo:hi + 1], M.indices,
+                             M.data, src.ravel(), dst[lo:hi].ravel())
+    return dst
+
+
+def csr_product(M, x: np.ndarray) -> np.ndarray:
+    """M @ x for a float64 CSR matrix M, bit for bit.  From SPLIT_MIN entries
+    on, the result's rows are cut into one contiguous range per worker, and
+    scipy's kernel fills the ranges at once, as M @ x fills all rows: a row
+    of M x reads only its own row of M, so the ranges share x uncopied and
+    write disjoint rows of one zeroed result."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_csr(M, x)
+    rows = M.shape[0]
+    parts = _parts(rows, x.size)
+    if len(parts) == 1:
+        return M @ x
+    x = np.ascontiguousarray(x)
+    out = np.zeros((rows,) + x.shape[1:])
+    _run_parts(partial(_add_product, M, x, out), [(p.start, p.stop) for p in parts])
+    return out
+
+
+def _carve(buffer: np.ndarray, rows: int, parts: list[slice]) -> list[np.ndarray]:
+    """A C-contiguous buffer of rows * width entries cut into one C-contiguous
+    rows x w block per column part, in order."""
+    flat, blocks, start = buffer.reshape(-1), [], 0
+    for cols in parts:
+        stop = start + rows * (cols.stop - cols.start)
+        blocks.append(flat[start:stop].reshape(rows, -1))
+        start = stop
+    return blocks
+
+
+def _recurrence(a: np.ndarray, M, x: np.ndarray, b1: np.ndarray, b2: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """clenshaw on x, of any layout, in three C-contiguous buffers shaped like
+    it (b2 zeroed); returns the buffer that holds the result.  It allocates
+    nothing: x is only read, by elementwise passes, and every write goes to a
+    buffer through out= or the CSR kernel."""
+    np.multiply(x, a[-1], out=b1)
+    if len(a) == 1:
+        return b1
+    for ak in a[-2:0:-1]:
+        np.multiply(x, ak, out=scratch)
+        np.subtract(scratch, b2, out=b2)
+        _add_product(M, b1, b2)
+        b1, b2 = b2, b1
+    np.multiply(x, a[0], out=scratch)
+    np.subtract(scratch, b2, out=b2)
+    b1 *= 0.5
+    return _add_product(M, b1, b2)
+
+
 def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
     """sum_k a_k T_k(M/2) x by Clenshaw's recurrence, with one product with M
     per degree; M must be a float64 CSR matrix.
 
         b_k = a_k x + M b_(k+1) - b_(k+2),    y = a_0 x + M (b_1 / 2) - b_2
 
-    Nothing is allocated per degree: three buffers are made once per call,
-    the recurrence makes two elementwise passes per degree into them, and
-    csr_matvecs adds M b_(k+1) straight into the buffer that holds
-    a_k x - b_(k+2).  It writes through ravel(), which copies a non-contiguous
-    array, so every array it touches is a C-contiguous buffer of this call;
-    the returned one is fresh too, and x is never written.
+    Nothing is allocated but three buffers of x's size, made by the calling
+    thread; one of them is returned.  Per degree the recurrence makes two
+    elementwise passes into them and adds M b_(k+1) straight into the buffer
+    that holds a_k x - b_(k+2) with scipy's CSR kernel.  x is read through
+    views, never copied or written.  From SPLIT_MIN entries on, the columns
+    are cut into contiguous parts, each buffer into one C-contiguous block
+    per part, and the parts run at once on the workers; the result blocks
+    are then copied, column for column, into a buffer that holds no result.
+    Column j of every block is computed by the same operations in the same
+    order whatever the part's width, so the split result equals the one-part
+    result bit for bit.
     """
-    if getattr(M, "format", None) != "csr" or M.dtype != np.float64:
-        raise ValueError(f"operator must be a float64 CSR matrix, got {type(M).__name__}"
-                         f" of {getattr(M, 'dtype', None)}")
+    x = np.asarray(x, dtype=np.float64)
+    _check_csr(M, x)
     a = np.asarray(cheb, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    b1 = np.multiply(x, a[-1])
-    if len(a) == 1:
-        return b1
-    n = M.shape[0]
-    width = x.shape[1] if x.ndim == 2 else 1
-
-    def add_product(src, dst):
-        _sparsetools.csr_matvecs(n, n, width, M.indptr, M.indices, M.data,
-                                 src.ravel(), dst.ravel())
-
-    b2 = np.zeros_like(x)
-    scratch = np.empty_like(x)
-    for ak in a[-2:0:-1]:
-        np.multiply(x, ak, out=scratch)
-        np.subtract(scratch, b2, out=b2)
-        add_product(b1, b2)
-        b1, b2 = b2, b1
-    np.multiply(x, a[0], out=scratch)
-    np.subtract(scratch, b2, out=b2)
-    b1 *= 0.5
-    add_product(b1, b2)
-    return b2
+    rows = M.shape[0]
+    parts = _parts(x.shape[1] if x.ndim == 2 else 1, x.size)
+    if len(parts) == 1:
+        return _recurrence(a, M, x, np.empty(x.shape), np.zeros(x.shape), np.empty(x.shape))
+    # the same three buffers in the same order with the first two roles
+    # swapped: the result blocks end in the buffer one call would free, and
+    # are joined into the one it would return.  The heap is then left as one
+    # call leaves it; returning another buffer raised plan-large's peak RSS
+    # by 2-4 MB
+    first, second, scratch = np.zeros(x.shape), np.empty(x.shape), np.empty(x.shape)
+    blocks = _run_parts(partial(_recurrence, a, M), [
+        (x[:, cols], *part) for cols, *part in
+        zip(parts, *(_carve(b, rows, parts) for b in (second, first, scratch)))])
+    out = second if np.may_share_memory(first, blocks[0]) else first
+    for cols, block in zip(parts, blocks):
+        out[:, cols] = block
+    return out
 
 
 def cheb_apply(cheb, M, x: Node) -> Node:

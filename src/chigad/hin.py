@@ -154,9 +154,9 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     overlapping split masks, or masked nodes without labels, and names the
     field for a top level that is not an object, a missing spec field,
     node_types, relations, labels, a relation's edges or a split that are not
-    a list, a name or target_type that is not a string, a count that is not a
-    positive integer (a node type needs at least one node) or a feature_dim
-    that is not a non-negative integer, a feature that is not a finite number
+    a list, a name or target_type that is not a string, a count or a
+    feature_dim that is not a positive integer (a node type needs at least
+    one node and one feature column), a feature that is not a finite number
     or a ragged feature row, a non-integer edge or split id, a label other
     than 0, 1 or null, splits that are not an object, or a split key other
     than train/val/test.
@@ -207,9 +207,8 @@ def _name(spec, key: str, what: str) -> str:
 
 def _size(spec, key: str, what: str) -> int:
     value = _field(spec, key, what)
-    if type(value) is not int or value < 0:
-        raise GraphFormatError(f"{what}: '{key}' must be a non-negative integer, "
-                               f"got {value!r}")
+    if type(value) is not int or value < 1:
+        raise GraphFormatError(f"{what}: '{key}' must be a positive integer, got {value!r}")
     return value
 
 
@@ -228,8 +227,6 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
             raise GraphFormatError(f"duplicate node type '{name}'")
         what = f"node type {name}"
         count, dim = _size(spec, "count", what), _size(spec, "feature_dim", what)
-        if count == 0:
-            raise GraphFormatError(f"{what}: 'count' must be a positive integer, got 0")
         feats = _typed_array(_field(spec, "features", what), f"{what}: features",
                              "iuf", "rows of numbers").astype(np.float64)
         if feats.shape != (count, dim):
@@ -343,7 +340,8 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     edge endpoint, split id), a row that is short of a cell or blank, an
     unknown split name, and a meta.json entry missing a field raise a
     GraphFormatError naming the file and the field; a node file with no node
-    rows and a target-type node file without a label column name the file.
+    rows or no feature column and a target-type node file without a label
+    column name the file.
     """
     meta_path = os.path.join(directory, "meta.json")
     try:
@@ -365,6 +363,8 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
         if name == target and not has_label:
             raise GraphFormatError(f"{path}: target-type node file must carry a label column")
         feat_cols = len(header) - has_label
+        if not feat_cols:
+            raise GraphFormatError(f"{path}: no feature column (a node type needs at least one)")
         _check_rows(body, ["feature"] * feat_cols + ["label"] * has_label, path)
         feats = [_cells(row[:feat_cols], float, path, k, "feature")
                  for k, row in enumerate(body, 2)]

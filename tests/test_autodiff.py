@@ -6,13 +6,18 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from chigad import autodiff as ad
 from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
                              add_bias, basis_combine, cheb_apply, clenshaw,
-                             elementwise_mul, matmul, monomial_powers, node_sum,
-                             row_slice, scale, sparse_poly_apply, vstack,
+                             csr_product, elementwise_mul, matmul, monomial_powers,
+                             node_sum, row_slice, scale, sparse_poly_apply, vstack,
                              weighted_softmax_ce)
+from chigad.config import sub_seed
+from chigad.model import build_model, forward_pass
+from chigad.synthetic import generate_synthetic_hin
 from oracles import (activation_grad_with_mask, dense_poly_apply, fd_gradient,
                      grad_mismatch)
+from test_acceptance import BENCH_SPEC, bench_config
 
 FD_TOL = 1e-6
 
@@ -482,3 +487,62 @@ class TestInPlaceKernels:
         assert not np.shares_memory(a.grad, b.grad)
         a.grad += 1.0
         assert b.grad.tolist() == [[1.0, 1.0]] * 3
+
+
+class TestSplit:
+    """From SPLIT_MIN entries on, clenshaw cuts its input into WORKERS column
+    parts and csr_product its result into WORKERS row ranges, which run at
+    once; every entry is computed as in one call, so the result is the same
+    bit for bit."""
+
+    @staticmethod
+    def signal(width):
+        # a strided view, as the split reads x: one column, or a column slice
+        wide = np.random.default_rng(13).standard_normal((50, 40))
+        return wide[:, 5] if width is None else wide[:, 3:3 + width]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("width", [None, 1, 7, 33])
+    @pytest.mark.parametrize("terms", [1, 8, 9])
+    def test_clenshaw_split_is_one_call(self, monkeypatch, workers, width, terms):
+        # 8 and 9 terms leave the result in either of the two swapped buffers
+        M = symmetric_operator(50, seed=11)
+        cheb = np.random.default_rng(12).standard_normal(terms)
+        x = self.signal(width)
+        monkeypatch.setattr(ad, "SPLIT_MIN", 10**18)
+        want = clenshaw(cheb, M, x)
+        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "WORKERS", workers)
+        assert len(ad._parts(width or 1, x.size)) == min(workers, width or 1)
+        got = clenshaw(cheb, M, x)
+        assert got.shape == x.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("width", [None, 1, 7, 33])
+    def test_csr_product_split_is_matmul(self, monkeypatch, workers, width):
+        M = symmetric_operator(50, seed=14)
+        x = self.signal(width)
+        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "WORKERS", workers)
+        got = csr_product(M, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, M @ x)
+
+    def test_split_refuses_misfit_rows(self, monkeypatch):
+        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
+        M = symmetric_operator(20, seed=15)
+        x = np.ones((21, 4))
+        for run in (lambda: clenshaw(np.ones(3), M, x), lambda: csr_product(M, x)):
+            with pytest.raises(ValueError, match="does not fit signal rows 21"):
+                run()
+
+    def test_c7_stays_on_one_call(self):
+        # c7's conv input (600 x 32) and its contributions' representation
+        # (400 x 32) sit below the split, where two threads lose
+        cfg = bench_config(0)
+        graph = generate_synthetic_hin(BENCH_SPEC, sub_seed(0, "synth"))
+        fp = forward_pass(build_model(graph, cfg), graph, record=False)
+        assert fp.conv_input.value.shape == (600, 32)
+        assert fp.rep.value.shape == (400, 32)
+        assert 600 * 32 < ad.SPLIT_MIN <= 12_000 * 32

@@ -9,7 +9,7 @@ import numpy.polynomial.chebyshev as ncheb
 import pytest
 
 import chigad
-from chigad import spectral
+from chigad import autodiff, spectral
 from chigad.chifilter import admissibility_integral, chi_response
 from chigad.cli import main
 from chigad.config import (ARCH_KEYS, DEFAULT_CANDIDATES, RunConfig, SyntheticSpec,
@@ -20,6 +20,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC, build_model,
 from chigad.training import split_metrics
 from conftest import make_one_type_hin
 from oracles import monomial_coeffs
+from test_acceptance import bench_config
 from test_model import featureless, refeatured, rewrite_header
 
 
@@ -531,12 +532,18 @@ class TestCliErrors:
                                   "--out", str(tmp_path / "fresh")], "error:")
 
 
+def run_python(code: str, *args: str, timeout: float | None = None):
+    src = os.path.dirname(os.path.dirname(chigad.__file__))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True, timeout=timeout)
+
+
 class TestCliImport:
     def test_no_quadrature_or_stats_on_import(self):
         # every command pays the import; quadrature, scipy.stats and
         # scipy.special stay off it, and neither planning nor a forward and
         # backward pass loads scipy.sparse.csgraph or scipy.linalg
-        src = os.path.dirname(os.path.dirname(chigad.__file__))
         code = (
             "import sys, chigad.cli\n"
             "heavy = ('scipy.integrate', 'scipy.stats', 'scipy.special', "
@@ -556,7 +563,46 @@ class TestCliImport:
             "fp.tape.backward(node_sum(fp.logits))\n"
             "assert fp.param_nodes['mlp.0.W'].grad is not None\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["[]", "[]", "[]"]
+        assert run_python(code).stdout.split() == ["[]", "[]", "[]"]
+
+
+class TestWorkerPool:
+    """The column split's pool is made at the first split, and its idle
+    workers never keep a finished process alive."""
+
+    def test_import_and_c7_train_start_no_thread(self):
+        cfg = bench_config(0)
+        cfg.epochs = 3
+        code = (
+            "import threading, chigad.cli\n"
+            "counts = [threading.active_count()]\n"
+            "from chigad.config import RunConfig, SyntheticSpec, sub_seed\n"
+            "from chigad import build_model, generate_synthetic_hin, train\n"
+            f"cfg = {cfg!r}\n"
+            "g = generate_synthetic_hin(cfg.synth, sub_seed(0, 'synth'))\n"
+            "train(build_model(g, cfg), g, cfg)\n"
+            "counts.append(threading.active_count())\n"
+            "print(counts)\n")
+        assert run_python(code, timeout=120).stdout.strip() == "[1, 1]"
+
+    def test_cli_train_above_split_exits(self, tmp_path):
+        # c7's hyper-parameters on 3000/750/750 nodes: the conv input, 4500 x
+        # 32, is split; the command exits once done, workers and all
+        sizes = (3000, 750, 750)
+        assert sum(sizes) * 32 >= autodiff.SPLIT_MIN
+        synth = write_cfg(tmp_path / "s.cfg", [f"synth_sizes = {', '.join(map(str, sizes))}",
+                                              "synth_feature_dims = 4, 8, 6"])
+        main(["synth", "--config", synth, "--out", str(tmp_path / "data")])
+        train_cfg = write_cfg(tmp_path / "t.cfg", [
+            f"graph = {tmp_path / 'data' / 'synthetic_graph.json'}",
+            "candidates = 1, 3, 5, 7", "bands = 10", "aligned_dim = 32", "path_max = 2",
+            "degree_budget = 8", "learning_rate = 0.01", "epochs = 2"])
+        code = ("import sys\n"
+                "from chigad import autodiff\n"
+                "from chigad.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(autodiff._pool is not None)\n"
+                "sys.exit(code)\n")
+        done = run_python(code, "train", "--config", train_cfg, "--out",
+                          str(tmp_path / "run"), timeout=120)
+        assert done.stdout.split()[-1] == str(autodiff.WORKERS > 1)

@@ -183,6 +183,16 @@ class TestStrictIngestion:
                            match=f"node type {name}: 'count' must be a positive integer"):
             hetero_graph_from_dict(doc)
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_zero_feature_dim(self, index):
+        # a node type needs at least one feature column, target type or not
+        doc = paper_schema_doc()
+        spec = doc["node_types"][index]
+        spec.update(feature_dim=0, features=[[]] * spec["count"])
+        with pytest.raises(GraphFormatError, match=f"node type {spec['name']}: "
+                           "'feature_dim' must be a positive integer, got 0"):
+            hetero_graph_from_dict(doc)
+
     @pytest.mark.parametrize("edges", [0, {}, "", False])
     def test_edges_not_a_list(self, edges):
         doc = paper_schema_doc()
@@ -333,6 +343,18 @@ class TestCsvLoading:
     def test_malformed_cell_names_file_and_field(self, tmp_path, name, text, where):
         directory = self.write_one_type(tmp_path, **{name: text})
         with pytest.raises(GraphFormatError, match=re.escape(where)):
+            load_hetero_graph_csv(directory)
+
+    @pytest.mark.parametrize("target", [True, False])
+    def test_zero_feature_columns(self, tmp_path, target):
+        # a node type needs at least one feature column, target type or not
+        name = "nodes_A.csv" if target else "nodes_B.csv"
+        replace = {"nodes_A.csv": "label\n0\n\n1\n"} if target else {
+            "meta.json": json.dumps({"node_types": ["A", "B"], "relations": [
+                {"name": "aa", "src": "A", "dst": "A"}], "target_type": "A"}),
+            "nodes_B.csv": "\n\n\n"}
+        directory = self.write_one_type(tmp_path, **replace)
+        with pytest.raises(GraphFormatError, match=re.escape(f"{name}: no feature column")):
             load_hetero_graph_csv(directory)
 
 

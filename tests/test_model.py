@@ -11,7 +11,7 @@ from chigad import autodiff as ad
 from chigad import model as model_module
 from chigad.chifilter import PolyFilter, fit_polynomial
 from chigad.config import RunConfig, sub_seed
-from chigad.hin import hetero_graph_from_dict, hetero_graph_to_dict
+from chigad.hin import GraphFormatError, hetero_graph_from_dict, hetero_graph_to_dict
 from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
                           MetaGraphConvLayer, build_model, checkpoint_plan,
                           cut_series, forward_pass,
@@ -106,9 +106,16 @@ class TestPlanning:
     @pytest.mark.parametrize("how", ["zeros", "no_columns"])
     def test_featureless_type_named(self, node_type, how):
         # t0 is the target type; s_high ranks on the features, so a type
-        # without a nonzero one cannot be planned
-        g = featureless(generate_synthetic_hin(
-            SyntheticSpec(sizes=(40, 10, 10), feature_dims=(3, 3, 3)), 0), node_type, how)
+        # without a nonzero one cannot be planned, and one without a feature
+        # column cannot be loaded
+        graph = generate_synthetic_hin(
+            SyntheticSpec(sizes=(40, 10, 10), feature_dims=(3, 3, 3)), 0)
+        if how == "no_columns":
+            with pytest.raises(GraphFormatError, match=re.escape(
+                    f"node type {node_type}: 'feature_dim' must be a positive integer")):
+                featureless(graph, node_type, how)
+            return
+        g = featureless(graph, node_type, how)
         cfg = RunConfig(candidates=(1, 3), bands=3, aligned_dim=8, mlp_layers=2)
         with pytest.raises(ValueError, match=re.escape(
                 f"node type '{node_type}': every feature is zero, so its meta-path "

@@ -31,7 +31,7 @@ def graph_docs(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     node_types = []
     for name in names:
-        n, d = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+        n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
         rows = st.lists(finite, min_size=d, max_size=d)
         node_types.append({"name": name, "count": n, "feature_dim": d,
                            "features": draw(st.lists(rows, min_size=n, max_size=n))})
