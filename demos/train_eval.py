@@ -8,30 +8,26 @@ config; the ablation is the built model with every filter swapped for
 target rows, so the gap in the final table is the value of the
 higher-degree band-matched filters.
 
+The graph and the hyper-parameters are the c7 setup, demos/c7.cfg.
+
 Run: python3 demos/train_eval.py [--seed N] [--epochs E]
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
 from chigad.chifilter import PolyFilter
-from chigad.config import RunConfig, SyntheticSpec, sub_seed
+from chigad.config import load_config, sub_seed
 from chigad.model import MetaGraphConvLayer, build_model
 from chigad.synthetic import generate_synthetic_hin
 from chigad.training import evaluate, train
 
-SPEC = SyntheticSpec(sizes=(400, 100, 100), feature_dims=(4, 8, 6),
-                     communities=3, shift=0.0, rewire=1.0,
-                     train_frac=0.4, val_frac=0.2)
+C7_CFG = Path(__file__).resolve().parent / "c7.cfg"
 
 
-def run_mode(graph, mode, seed, epochs):
-    cfg = RunConfig(candidates=(1, 3, 5, 7), bands=10, aligned_dim=32,
-                    mlp_layers=2, path_min=2, path_max=2, degree_budget=8,
-                    activation="relu", epochs=epochs, learning_rate=0.01,
-                    weight_decay=0.01, loss_l=5.0, loss_h=7.0,
-                    synth=SPEC, seed=seed)
+def run_mode(graph, mode, cfg):
     model = build_model(graph, cfg)
     if mode == "lowpass1":
         lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1 - w/2 as 1/2 - T_1(w - 1)/2
@@ -41,7 +37,7 @@ def run_mode(graph, mode, seed, epochs):
         model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
                                         model.conv.width)
     record = train(model, graph, cfg)
-    for stats in record.epochs[:: max(1, epochs // 5)]:
+    for stats in record.epochs[:: max(1, cfg.epochs // 5)]:
         print(f"    epoch {stats.epoch:>4}  loss {stats.loss:8.4f}  "
               f"val f1 {stats.val_f1:.3f}")
     return evaluate(model, graph, "test")
@@ -53,14 +49,16 @@ def main():
     ap.add_argument("--epochs", type=int, default=300)
     args = ap.parse_args()
 
-    graph = generate_synthetic_hin(SPEC, sub_seed(args.seed, "synth"))
+    cfg = load_config(str(C7_CFG))
+    cfg.seed, cfg.epochs = args.seed, args.epochs
+    graph = generate_synthetic_hin(cfg.synth, sub_seed(cfg.seed, "synth"))
     n_anom = int(sum(graph.labels))
     print(f"graph: {graph.node_counts} nodes, {n_anom} anomalous targets")
 
     results = {}
     for mode in ("chi", "lowpass1"):
         print(f"\ntraining {mode}")
-        results[mode] = run_mode(graph, mode, args.seed, args.epochs)
+        results[mode] = run_mode(graph, mode, cfg)
 
     print(f"\n{'mode':<10} {'auroc':>7} {'auprc':>7} {'f1':>7} {'recall':>7}")
     for mode, m in results.items():

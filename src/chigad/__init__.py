@@ -12,11 +12,10 @@ from .hin import (HeteroGraph, MetaPath, MetaPathGraph, Relation,
                   save_hetero_graph)
 from .metrics import (MetricsRecord, auprc, auroc, compute_metrics, f1_macro,
                       pr_points, recall, roc_points)
-from .model import (ChiGadModel, build_model, forward_pass, load_checkpoint,
+from .model import (ChiGadModel, TypePlan, build_model, forward_pass, load_checkpoint,
                     save_checkpoint)
-from .spectral import (DivisionPlan, FusedFilter, SpectralProfile,
-                       assign_filter, fuse_filters, graph_s_high, s_high,
-                       select_representatives, spectral_profile,
+from .spectral import (FusedFilter, SpectralProfile, assign_filter, fuse_filters,
+                       graph_s_high, s_high, select_representatives, spectral_profile,
                        theorem1_search)
 from .synthetic import generate_synthetic_hin
 from .training import (Adam, CcLossConfig, ContributionVector, TrainRecord,

@@ -94,25 +94,23 @@ def _all_plans(cfg: RunConfig):
 
 def cmd_metapaths(cfg: RunConfig, out: str) -> int:
     plans = _all_plans(cfg)
-    if not any(tp.plan is not None for tp in plans.values()):
+    if not any(tp.representatives for tp in plans.values()):
         raise ValueError("no valid meta-paths in the configured length range")
     report = []
     for o, tp in plans.items():
-        reps = set(tp.plan.representatives.values()) if tp.plan else set()
-        # the label is None exactly on the empty graphs
-        labels = tp.plan.labels if tp.plan else [None] * len(tp.paths)
+        reps = set(tp.representatives.values())
+        # the label and the score are None exactly on the empty graphs
         report.append({
             "node_type": o,
-            "paths": [{"path": str(p), "empty": label is None,
-                       "s_high": None if label is None else tp.plan.scores[i],
+            "paths": [{"path": str(p), "empty": label is None, "s_high": score,
                        "division": label, "representative": i in reps}
-                      for i, (p, label) in enumerate(zip(tp.paths, labels))],
+                      for i, (p, label, score) in enumerate(zip(tp.paths, tp.labels,
+                                                                tp.scores))],
             "divisions": [{"division": d,
                            "representative": str(tp.paths[ri]),
                            "band_max": tp.band_max[d],
                            "assigned_filter": tp.assigned[d]}
-                          for d, ri in (tp.plan.representatives.items()
-                                        if tp.plan else [])]})
+                          for d, ri in tp.representatives.items()]})
     _write_csv(os.path.join(out, "metapaths.csv"),
                ["node_type", "path", "status", "s_high", "division", "role"],
                [[r["node_type"], p["path"], "excluded: empty" if p["empty"] else "valid",
@@ -126,9 +124,7 @@ def cmd_metapaths(cfg: RunConfig, out: str) -> int:
 def cmd_analyze(cfg: RunConfig, out: str) -> int:
     report = []
     for o, tp in _all_plans(cfg).items():
-        if tp.plan is None:
-            continue
-        for division, rep_idx in tp.plan.representatives.items():
+        for division, rep_idx in tp.representatives.items():
             profile = tp.profiles[division]
             edges, eigenvalues = profile.band_edges, profile.eigenvalues
             report.append({

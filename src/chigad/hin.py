@@ -339,9 +339,10 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     A cell that does not parse as a number (feature) or an integer (label,
     edge endpoint, split id), a row that is short of a cell or blank, an
     unknown split name, and a meta.json entry missing a field raise a
-    GraphFormatError naming the file and the field; a node file with no node
-    rows or no feature column and a target-type node file without a label
-    column name the file.
+    GraphFormatError naming the file and the field; a row with more cells than
+    the file's fields names the file and the row; a node file with no node
+    rows or no feature column, a target-type node file without a label column
+    and a label column on any other type name the file.
     """
     meta_path = os.path.join(directory, "meta.json")
     try:
@@ -362,6 +363,9 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
         has_label = header[-1:] == ["label"]
         if name == target and not has_label:
             raise GraphFormatError(f"{path}: target-type node file must carry a label column")
+        if name != target and "label" in header:
+            raise GraphFormatError(f"{path}: label column on node type '{name}'; a label "
+                                   f"column belongs only on the target type '{target}'")
         feat_cols = len(header) - has_label
         if not feat_cols:
             raise GraphFormatError(f"{path}: no feature column (a node type needs at least one)")
@@ -410,10 +414,14 @@ def _cells(cells: list[str], convert, path: str, row: int, field: str) -> list:
 
 def _check_rows(body: list[list[str]], fields: list[str], path: str) -> None:
     """A row with fewer cells than fields, a blank line among them, is a
-    GraphFormatError naming the file, row (header = 1) and first missing field."""
+    GraphFormatError naming the file, row (header = 1) and first missing field;
+    a row with more cells names the file, the row and both counts."""
     for k, row in enumerate(body, 2):
         if len(row) < len(fields):
             raise GraphFormatError(f"{path}: row {k}: {fields[len(row)]}: missing cell")
+        if len(row) > len(fields):
+            raise GraphFormatError(f"{path}: row {k}: {len(row)} cells, more than "
+                                   f"the {len(fields)} fields of the file")
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:

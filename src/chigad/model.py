@@ -39,10 +39,13 @@ meta-path n-e-n forms a single division `all`, and the convolution runs on
 the same graph.
 
 Stage 1's filters come from a per-type spectral plan (s_high ranking, one
-profiled representative per division, the nearest Chi-Square mode).  A
-checkpoint stores that plan, and `build_model(graph, cfg, plan)` reuses it
-instead of ranking and profiling again.  A built model keeps only what its
-forward pass and its checkpoint read: no meta-path graph outlives the build.
+profiled representative per division, the nearest Chi-Square mode), held in
+one record, `TypePlan`, whose fields are those of the plan document a
+checkpoint stores.  Fresh planning, a stored plan and a type with no valid
+meta-path (null labels, no division) all give a `TypePlan`, and
+`build_model(graph, cfg, plan)` reuses a stored one instead of ranking and
+profiling again.  A built model keeps only what its forward pass and its
+checkpoint read: no meta-path graph outlives the build.
 """
 
 from __future__ import annotations
@@ -59,9 +62,8 @@ from .chifilter import PolyFilter, fit_polynomial
 from .config import RunConfig, sub_seed
 from .hin import (HeteroGraph, MetaPath, MetaPathGraph, degenerate_method1,
                   enumerate_meta_paths, laplacian, materialize_meta_path_graph)
-from .spectral import (DEGENERATE_DIVISION, DIVISIONS, DivisionPlan, SpectralProfile,
-                       assign_filter, fuse_filters, profile_capped,
-                       select_representatives)
+from .spectral import (DEGENERATE_DIVISION, DIVISIONS, SpectralProfile, assign_filter,
+                       fuse_filters, profile_capped, select_representatives)
 
 
 # relative L1 tail of the summed conv series dropped at build; |T_k| <= 1 on
@@ -107,12 +109,27 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TypePlan:
+    """One node type's filter plan: the fields of its plan document
+    (`plan_document`), plus the representatives' profiles when it was planned
+    afresh.  A type with no valid meta-path has null labels and scores and no
+    division."""
     paths: list[MetaPath]
-    plan: DivisionPlan | None        # None when no valid meta-path exists
+    labels: list[str | None]          # division per meta-path graph; None = empty
+    scores: list[float | None]        # graph_s_high per graph; None = empty
+    representatives: dict[str, int]   # division -> index into paths
     band_max: dict[str, float]
-    assigned: dict[str, int]         # division -> filter index
+    assigned: dict[str, int]          # division -> filter index
     # division -> profile of its representative; empty for a stored plan
     profiles: dict[str, SpectralProfile] = field(default_factory=dict, repr=False)
+
+    @property
+    def degenerate(self) -> bool:
+        return DEGENERATE_DIVISION in self.representatives
+
+
+# the plan document's fields and their JSON kinds
+PLAN_FIELDS = {"paths": list, "labels": list, "scores": list, "representatives": dict,
+               "degenerate": bool, "band_max": dict, "assigned": dict}
 
 
 def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
@@ -126,34 +143,25 @@ def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
     if stored is not None:
         return _restore_type_plan(node_type, paths, graphs, stored, cfg.candidates), graphs
     X = graph.features[node_type]
-    if not any(not g.is_empty for g in graphs):
-        return TypePlan(paths, None, {}, {}), graphs
+    if all(g.is_empty for g in graphs):
+        return TypePlan(paths, [None] * len(paths), [None] * len(paths), {}, {}, {}), graphs
     if not X.any():
         raise ValueError(f"node type '{node_type}': every feature is zero, so its "
                          "meta-path graphs cannot be ranked by s_high")
-    plan = select_representatives(graphs, X)
-    band_max: dict[str, float] = {}
-    assigned: dict[str, int] = {}
-    profiles: dict[str, SpectralProfile] = {}
-    for division, rep_idx in plan.representatives.items():
-        profile = profile_capped(graphs[rep_idx], X, cfg.bands,
-                                 seed=sub_seed(cfg.seed, f"profile:{node_type}:{division}"))
-        profiles[division] = profile
-        band_max[division] = profile.band_max
-        assigned[division] = assign_filter(profile.band_max, list(cfg.candidates))
-    return TypePlan(paths, plan, band_max, assigned, profiles), graphs
+    labels, reps, scores = select_representatives(graphs, X)
+    profiles = {d: profile_capped(graphs[r], X, cfg.bands,
+                                  seed=sub_seed(cfg.seed, f"profile:{node_type}:{d}"))
+                for d, r in reps.items()}
+    band_max = {d: p.band_max for d, p in profiles.items()}
+    assigned = {d: assign_filter(b, list(cfg.candidates)) for d, b in band_max.items()}
+    return TypePlan(paths, labels, scores, reps, band_max, assigned, profiles), graphs
 
 
 def plan_document(plans: dict[str, TypePlan]) -> dict:
     """JSON form of the plans of the node types that have valid meta-paths."""
-    return {o: {"paths": [str(p) for p in tp.paths],
-                "labels": list(tp.plan.labels),
-                "scores": list(tp.plan.scores),
-                "representatives": dict(tp.plan.representatives),
-                "degenerate": tp.plan.degenerate,
-                "band_max": dict(tp.band_max),
-                "assigned": dict(tp.assigned)}
-            for o, tp in plans.items() if tp.plan is not None}
+    return {o: {key: kind(getattr(tp, key)) for key, kind in PLAN_FIELDS.items()}
+            | {"paths": [str(p) for p in tp.paths]}
+            for o, tp in plans.items() if tp.representatives}
 
 
 def _restore_type_plan(node_type: str, paths: list[MetaPath],
@@ -167,15 +175,13 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
                           f"field '{key}': {why}")
 
     doc = stored.get(node_type)
-    if not any(not g.is_empty for g in graphs):
+    if all(g.is_empty for g in graphs):
         if doc is not None:
             raise mismatch("paths", "the graph has no valid meta-path for this type")
-        return TypePlan(paths, None, {}, {})
+        return TypePlan(paths, [None] * len(paths), [None] * len(paths), {}, {}, {})
     if doc is None:
         raise mismatch("paths", "no plan stored for a type with valid meta-paths")
-    for key, kind in (("paths", list), ("labels", list), ("scores", list),
-                      ("representatives", dict), ("degenerate", bool),
-                      ("band_max", dict), ("assigned", dict)):
+    for key, kind in PLAN_FIELDS.items():
         if not isinstance(doc.get(key), kind):
             raise mismatch(key, f"missing or not a {kind.__name__}")
     if doc["paths"] != [str(p) for p in paths]:
@@ -203,9 +209,8 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
             raise mismatch("band_max", f"'{d}' must be a number")
         if type(assigned[d]) is not int or assigned[d] not in candidates:
             raise mismatch("assigned", f"'{d}' must be one of the candidates {candidates}")
-    plan = DivisionPlan(list(labels), {d: reps[d] for d in divisions},
-                        list(doc["scores"]), doc["degenerate"])
-    return TypePlan(paths, plan, {d: float(band_max[d]) for d in divisions},
+    return TypePlan(paths, list(labels), list(doc["scores"]), {d: reps[d] for d in divisions},
+                    {d: float(band_max[d]) for d in divisions},
                     {d: assigned[d] for d in divisions})
 
 
@@ -329,17 +334,15 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         tp, graphs = plan_type(graph, o, cfg, plan)
         plans[o] = tp
         entries: list[BankEntry] = []
-        if tp.plan is not None:
-            # the fused filter depends on the division, not on the graph
-            fused = {v: fuse_filters(tp.assigned, v, cfg.w_d, cfg.degree_budget).poly
-                     for v in tp.assigned}
-            for idx, division in enumerate(tp.plan.labels):
-                if division is None:
-                    continue
-                name = f"wS[{o}][{idx}]"
-                params[name] = np.asarray(1.0)
-                entries.append(BankEntry(laplacian(graphs[idx].adjacency), fused[division],
-                                         name))
+        # the fused filter depends on the division, not on the graph
+        fused = {v: fuse_filters(tp.assigned, v, cfg.w_d, cfg.degree_budget).poly
+                 for v in tp.assigned}
+        for idx, division in enumerate(tp.labels):
+            if division is None:
+                continue
+            name = f"wS[{o}][{idx}]"
+            params[name] = np.asarray(1.0)
+            entries.append(BankEntry(laplacian(graphs[idx].adjacency), fused[division], name))
         del graphs      # let them go before the next type is planned
         banks[o] = MultiGraphFilterBank(o, entries)
         banks[o].refresh_basis(graph.features[o])

@@ -2,12 +2,14 @@
 
 The amount of high-frequency content in a signal x on a graph with Laplacian L
 is the Rayleigh quotient x'Lx / x'x.  Ranking meta-path graphs by this score
-splits them into low / mid / high divisions; one representative per division
-is profiled in full (eigendecomposition, Fourier energies, banded histogram)
-to find the frequency band where the energy concentrates.  Each division then
-receives the Chi-Square filter whose mode lies closest to that band, and each
+splits them into low / mid / high divisions (one division `all` when fewer
+than three graphs are valid); one representative per division is profiled in
+full (eigendecomposition, Fourier energies, banded histogram) to find the
+frequency band where the energy concentrates.  Each division then receives
+the Chi-Square filter whose mode lies closest to that band, and each
 meta-path graph gets a fused response blending its own division's filter with
-down-weighted copies of the other two.
+down-weighted copies of the others.  These are the pieces of a node type's
+plan; the plan record itself is `model.TypePlan`.
 
 The normalized Laplacian is block-diagonal over the graph's connected
 components, so the profile decomposes one component at a time: the dense
@@ -167,51 +169,37 @@ def profile_capped(graph: MetaPathGraph, X: np.ndarray, K: int,
 # divisions and representatives
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DivisionPlan:
-    labels: list[str | None]          # per input graph; None = empty graph
-    representatives: dict[str, int]   # division -> index into the input list
-    scores: list[float | None]        # graph_s_high per input graph
-    degenerate: bool
+def select_representatives(graphs: list[MetaPathGraph], X: np.ndarray
+                           ) -> tuple[list[str | None], dict[str, int], list[float | None]]:
+    """Rank nonempty graphs by graph_s_high ascending and cut them into
+    divisions: low/mid/high, or the single division `all` when fewer than 3
+    graphs are valid.
 
-    @property
-    def divisions(self) -> tuple[str, ...]:
-        return (DEGENERATE_DIVISION,) if self.degenerate else DIVISIONS
-
-
-def select_representatives(graphs: list[MetaPathGraph], X: np.ndarray) -> DivisionPlan:
-    """Rank nonempty graphs by graph_s_high ascending and cut into low/mid/high.
-
-    Division sizes are as equal as possible with remainders pushed to the later
-    divisions; the representative is the element at the lower-median rank of
-    its division.  Fewer than 3 valid graphs collapse to a single division.
+    Returns (labels, representatives, scores): per input graph its division
+    and its graph_s_high, both None on an empty graph, and per division the
+    index of its representative.  Division sizes are as equal as possible
+    with remainders pushed to the later divisions; the representative is the
+    element at the lower-median rank of its division.
     """
     scores: list[float | None] = [
         None if g.is_empty else graph_s_high(g, X) for g in graphs]
-    valid = [k for k, s in enumerate(scores) if s is not None]
-    if not valid:
+    order = sorted((k for k, s in enumerate(scores) if s is not None),
+                   key=lambda k: (scores[k], k))
+    if not order:
         raise ValueError("no nonempty meta-path graphs to rank")
-    order = sorted(valid, key=lambda k: (scores[k], k))
-
+    divisions = (DEGENERATE_DIVISION,) if len(order) < 3 else DIVISIONS
+    base, rem = divmod(len(order), len(divisions))
     labels: list[str | None] = [None] * len(graphs)
-    if len(order) < 3:
-        for k in order:
-            labels[k] = DEGENERATE_DIVISION
-        rep = order[(len(order) - 1) // 2]
-        return DivisionPlan(labels, {DEGENERATE_DIVISION: rep}, scores, True)
-
-    n = len(order)
-    base, rem = divmod(n, 3)
-    sizes = [base + (1 if d >= 3 - rem else 0) for d in range(3)]
     reps: dict[str, int] = {}
     pos = 0
-    for div, size in zip(DIVISIONS, sizes):
+    for d, div in enumerate(divisions):
+        size = base + (d >= len(divisions) - rem)
         chunk = order[pos:pos + size]
         for k in chunk:
             labels[k] = div
         reps[div] = chunk[(size - 1) // 2]
         pos += size
-    return DivisionPlan(labels, reps, scores, False)
+    return labels, reps, scores
 
 
 def assign_filter(band_max: float, candidates: list[int]) -> int:

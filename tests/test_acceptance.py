@@ -14,6 +14,7 @@ determinism of the command-line pipeline.
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import chigad.autodiff as ad
 from chigad.chifilter import (admissibility_closed_form, admissibility_integral,
                               apply_filter, chi_mode, chi_moments, fit_polynomial)
 from chigad.cli import main
-from chigad.config import RunConfig, SyntheticSpec, sub_seed
+from chigad.config import RunConfig, load_config, sub_seed
 from chigad.hin import (enumerate_meta_paths, hetero_graph_from_dict, laplacian,
                         materialize_meta_path_graph)
 from chigad.metrics import compute_metrics
@@ -351,17 +352,15 @@ def test_c6_loss_identities(capsys):
             assert abs(stats.contrib_sum - stats.contrib_dims) <= 1e-9
 
 
-BENCH_SPEC = SyntheticSpec(sizes=(400, 100, 100), feature_dims=(4, 8, 6),
-                           communities=3, shift=0.0, rewire=1.0,
-                           train_frac=0.4, val_frac=0.2)
+# the c7 setup, also the benchmark's c7 workload and the train_eval demo's
+C7_CFG = Path(__file__).resolve().parent.parent / "demos" / "c7.cfg"
+BENCH_SPEC = load_config(str(C7_CFG)).synth
 
 
 def bench_config(seed: int) -> RunConfig:
-    return RunConfig(candidates=(1, 3, 5, 7), bands=10, aligned_dim=32,
-                     mlp_layers=2, path_min=2, path_max=2, degree_budget=8,
-                     activation="relu", epochs=300, learning_rate=0.01,
-                     weight_decay=0.01, loss_l=5.0, loss_h=7.0,
-                     synth=BENCH_SPEC, seed=seed)
+    cfg = load_config(str(C7_CFG))
+    cfg.seed = seed
+    return cfg
 
 
 def test_c7_synthetic_detection(capsys):

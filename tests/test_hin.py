@@ -336,13 +336,27 @@ class TestCsvLoading:
         ("nodes_A.csv", "f0,label\n", "nodes_A.csv: no node rows"),
         ("nodes_A.csv", "f0\n1\n2\n3\n",
          "nodes_A.csv: target-type node file must carry a label column"),
+        # a cell beyond the file's fields would be dropped
+        ("nodes_A.csv", "f0,label\n1.0,0,4.0\n2,\n3,1\n", "nodes_A.csv: row 2: 3 cells"),
+        ("edges_aa.csv", "u,v\n0,1\n1,1,9\n", "edges_aa.csv: row 3: 3 cells"),
+        ("splits.csv", "id,split\n0,train\n1,val,extra\n", "splits.csv: row 3: 3 cells"),
     ], ids=["feature", "label", "edge", "split-id", "relation-dst", "split-cell",
             "splits-blank-line", "nodes-blank-line", "label-cell", "edge-cell",
             "split-name", "meta-node-types", "empty-file", "no-node-rows",
-            "no-label-column"])
+            "no-label-column", "node-extra-cell", "edge-extra-cell", "split-extra-cell"])
     def test_malformed_cell_names_file_and_field(self, tmp_path, name, text, where):
         directory = self.write_one_type(tmp_path, **{name: text})
         with pytest.raises(GraphFormatError, match=re.escape(where)):
+            load_hetero_graph_csv(directory)
+
+    def test_label_column_on_non_target_type(self, tmp_path):
+        # it would load as a feature column of width 1 and lose the values
+        directory = self.write_one_type(tmp_path, **{
+            "meta.json": json.dumps({"node_types": ["A", "b"], "relations": [
+                {"name": "aa", "src": "A", "dst": "A"}], "target_type": "A"}),
+            "nodes_b.csv": "x,label\n5.0,7.5\n6.0,8.5\n"})
+        with pytest.raises(GraphFormatError,
+                           match=r"nodes_b\.csv: label column .*only on the target type"):
             load_hetero_graph_csv(directory)
 
     @pytest.mark.parametrize("target", [True, False])

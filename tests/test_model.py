@@ -18,7 +18,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
                           graph_signature, load_checkpoint, multi_graph_forward,
                           plan_document, plan_type, save_checkpoint, softmax_rows,
                           summed_coeffs)
-from chigad.spectral import fuse_filters
+from chigad.spectral import DEGENERATE_DIVISION, DIVISIONS, fuse_filters
 from chigad.synthetic import SyntheticSpec, generate_synthetic_hin
 from chigad.training import train
 from conftest import lowpass_ablation, make_hin, make_one_type_hin
@@ -79,9 +79,9 @@ class TestPlanning:
         g, cfg, model = small_model()
         for o in g.node_types:
             tp = model.plans[o]
-            if tp.plan is not None:
-                assert len(tp.plan.labels) == len(tp.paths)
-                for div in tp.plan.divisions:
+            if tp.representatives:
+                assert len(tp.labels) == len(tp.paths)
+                for div in (DEGENERATE_DIVISION,) if tp.degenerate else DIVISIONS:
                     assert div in tp.band_max
                     assert tp.assigned[div] in cfg.candidates
 
@@ -98,8 +98,8 @@ class TestPlanning:
         cfg = RunConfig(candidates=(1, 2), bands=10, aligned_dim=4,
                         mlp_layers=1, seed=0)
         tp, graphs = plan_type(g, "b", cfg)
-        assert tp.plan is not None and len(graphs) == len(tp.paths)
-        for division, rep in tp.plan.representatives.items():
+        assert tp.representatives and len(graphs) == len(tp.paths)
+        for division, rep in tp.representatives.items():
             assert tp.profiles[division].num_bands == graphs[rep].num_nodes < 10
 
     @pytest.mark.parametrize("node_type", ["t0", "t1"])
@@ -203,7 +203,7 @@ class TestBuild:
         shared = 0
         for o, bank in model.banks.items():
             tp = model.plans[o]
-            labels = [lab for lab in tp.plan.labels if lab is not None] if tp.plan else []
+            labels = [lab for lab in tp.labels if lab is not None]
             for division in set(labels):
                 polys = [e.poly for e, lab in zip(bank.entries, labels) if lab == division]
                 assert all(p is polys[0] for p in polys)
@@ -494,7 +494,8 @@ class TestCheckpoint:
         for o, tp in model.plans.items():
             got = rebuilt.plans[o]
             assert got.paths == tp.paths
-            assert got.plan == tp.plan
+            assert (got.labels, got.representatives, got.scores, got.degenerate) == (
+                tp.labels, tp.representatives, tp.scores, tp.degenerate)
             assert got.band_max == tp.band_max and got.assigned == tp.assigned
             assert tp.profiles and not got.profiles
         load_checkpoint(rebuilt, str(path))
@@ -550,13 +551,13 @@ class TestCheckpoint:
         doc["relations"].append({"name": "aa", "src": "a", "dst": "a", "edges": []})
         g = hetero_graph_from_dict(doc)
         model = build_model(g, cfg)
-        labels = model.plans["a"].plan.labels
+        labels = model.plans["a"].labels
         empty = labels.index(None)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, str(path))
         stored = checkpoint_plan(str(path))
         assert stored["a"]["labels"] == labels
-        assert build_model(g, cfg, plan=stored).plans["a"].plan.labels == labels
+        assert build_model(g, cfg, plan=stored).plans["a"].labels == labels
 
         def set_label(h):
             h["plan"]["a"]["labels"][empty] = "low"
@@ -667,7 +668,7 @@ class TestChiGnn:
         g, cfg, model = one_type_model()
         tp = model.plans["n"]
         assert [str(p) for p in tp.paths] == ["n-e-n"]
-        assert tp.plan.degenerate and tp.plan.labels == ["all"]
+        assert tp.degenerate and tp.labels == ["all"]
         assert [e.weight_name for e in model.banks["n"].entries] == ["wS[n][0]"]
         assert model.conv.operator.shape[0] == g.node_counts["n"]
         assert [f.degree for f in model.conv.filters] == [1 - 1 + 3, 2 - 1 + 3]

@@ -282,21 +282,20 @@ class TestDivisions:
     def test_six_graphs_partition(self):
         rng = np.random.default_rng(21)
         graphs, X = self._graphs_and_features(rng, 6)
-        plan = select_representatives(graphs, X)
-        assert not plan.degenerate
-        order = sorted(range(6), key=lambda k: (plan.scores[k], k))
-        assert [plan.labels[k] for k in order] == [
+        labels, reps, scores = select_representatives(graphs, X)
+        assert DEGENERATE_DIVISION not in reps
+        order = sorted(range(6), key=lambda k: (scores[k], k))
+        assert [labels[k] for k in order] == [
             "low", "low", "mid", "mid", "high", "high"]
-        assert plan.representatives == {
-            "low": order[0], "mid": order[2], "high": order[4]}
+        assert reps == {"low": order[0], "mid": order[2], "high": order[4]}
 
     def test_remainders_go_late(self):
         rng = np.random.default_rng(22)
         for count, sizes in ((7, (2, 2, 3)), (5, (1, 2, 2)), (8, (2, 3, 3))):
             graphs, X = self._graphs_and_features(rng, count)
-            plan = select_representatives(graphs, X)
-            order = sorted(range(count), key=lambda k: (plan.scores[k], k))
-            got = [plan.labels[k] for k in order]
+            labels, reps, scores = select_representatives(graphs, X)
+            order = sorted(range(count), key=lambda k: (scores[k], k))
+            got = [labels[k] for k in order]
             expected = []
             for div, size in zip(DIVISIONS, sizes):
                 expected += [div] * size
@@ -304,35 +303,35 @@ class TestDivisions:
             pos = 0
             for div, size in zip(DIVISIONS, sizes):
                 chunk = order[pos:pos + size]
-                assert plan.representatives[div] == chunk[(size - 1) // 2]
+                assert reps[div] == chunk[(size - 1) // 2]
                 pos += size
 
     def test_three_graphs_one_each(self):
         rng = np.random.default_rng(23)
         graphs, X = self._graphs_and_features(rng, 3)
-        plan = select_representatives(graphs, X)
-        order = sorted(range(3), key=lambda k: (plan.scores[k], k))
-        assert [plan.labels[k] for k in order] == ["low", "mid", "high"]
-        assert [plan.representatives[d] for d in DIVISIONS] == order
+        labels, reps, scores = select_representatives(graphs, X)
+        order = sorted(range(3), key=lambda k: (scores[k], k))
+        assert [labels[k] for k in order] == ["low", "mid", "high"]
+        assert [reps[d] for d in DIVISIONS] == order
 
     def test_two_graphs_degenerate(self):
         rng = np.random.default_rng(24)
         graphs, X = self._graphs_and_features(rng, 2)
-        plan = select_representatives(graphs, X)
-        assert plan.degenerate
-        assert plan.labels.count(DEGENERATE_DIVISION) == 2
-        order = sorted(range(2), key=lambda k: (plan.scores[k], k))
-        assert plan.representatives == {DEGENERATE_DIVISION: order[0]}
-        assert plan.divisions == (DEGENERATE_DIVISION,)
+        labels, reps, scores = select_representatives(graphs, X)
+        assert DEGENERATE_DIVISION in reps
+        assert labels.count(DEGENERATE_DIVISION) == 2
+        order = sorted(range(2), key=lambda k: (scores[k], k))
+        assert reps == {DEGENERATE_DIVISION: order[0]}
+        assert tuple(reps) == (DEGENERATE_DIVISION,)
 
     def test_empty_graphs_unlabeled(self):
         rng = np.random.default_rng(25)
         graphs, X = self._graphs_and_features(rng, 3)
         graphs.insert(1, MetaPathGraph(sp.csr_matrix((9, 9))))
-        plan = select_representatives(graphs, X)
-        assert plan.labels[1] is None
-        assert plan.scores[1] is None
-        assert not plan.degenerate
+        labels, reps, scores = select_representatives(graphs, X)
+        assert labels[1] is None
+        assert scores[1] is None
+        assert DEGENERATE_DIVISION not in reps
 
     def test_all_empty(self):
         empty = MetaPathGraph(sp.csr_matrix((4, 4)))
@@ -342,8 +341,8 @@ class TestDivisions:
     def test_scores_match_graph_s_high(self):
         rng = np.random.default_rng(26)
         graphs, X = self._graphs_and_features(rng, 4)
-        plan = select_representatives(graphs, X)
-        for g, s in zip(graphs, plan.scores):
+        scores = select_representatives(graphs, X)[2]
+        for g, s in zip(graphs, scores):
             assert s == pytest.approx(graph_s_high(g, X), rel=1e-12)
 
 
