@@ -27,20 +27,28 @@ from chigad.training import evaluate, train
 C7_CFG = Path(__file__).resolve().parent / "c7.cfg"
 
 
+def lowpass_ablation(model):
+    """Swap every filter of a built model for the degree-1 low-pass 1 - w/2
+    (response 1 at w = 0, 0 at w = 2), the ablation baseline.  Each bank
+    entry then reads the first two of its cached powers."""
+    lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1/2 - T_1(w - 1)/2
+    for bank in model.banks.values():
+        for e in bank.entries:
+            e.poly = lowpass
+    model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
+                                    model.conv.width)
+    return model
+
+
 def run_mode(graph, mode, cfg):
     model = build_model(graph, cfg)
     if mode == "lowpass1":
-        lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1 - w/2 as 1/2 - T_1(w - 1)/2
-        for bank in model.banks.values():
-            for e in bank.entries:
-                e.poly = lowpass
-        model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
-                                        model.conv.width)
-    record = train(model, graph, cfg)
+        lowpass_ablation(model)
+    record = train(model, cfg)
     for stats in record.epochs[:: max(1, cfg.epochs // 5)]:
         print(f"    epoch {stats.epoch:>4}  loss {stats.loss:8.4f}  "
               f"val f1 {stats.val_f1:.3f}")
-    return evaluate(model, graph, "test")
+    return evaluate(model, "test")
 
 
 def main():

@@ -441,10 +441,11 @@ def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
 
     Equals sparse_poly_apply(coeffs, S, X, w) bit for bit when basis holds
     its powers, without a sparse product; the only gradient is dy/dw =
-    sum_k c_k k w^(k-1) B_k, since the basis is a constant.
+    sum_k c_k k w^(k-1) B_k, since the basis is a constant.  A basis longer
+    than the coefficients is read up to their length.
     """
     cvals = np.asarray(coeffs, dtype=np.float64)
-    if len(basis) != len(cvals):
+    if len(basis) < len(cvals):
         raise ValueError(f"{len(cvals)} coefficients for a basis of {len(basis)} powers")
     w = float(meta_weight.value)
     wpow = w ** np.arange(len(cvals))

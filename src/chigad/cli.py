@@ -159,14 +159,14 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
 def cmd_train(cfg: RunConfig, out: str) -> int:
     graph = _load_graph(cfg)
     model = build_model(graph, cfg)
-    record = train(model, graph, cfg)
+    record = train(model, cfg)
     save_checkpoint(model, os.path.join(out, "model.ckpt"),
                     extra={"best_epoch": record.best_epoch,
                            "best_val_f1": record.best_val_f1})
     print(f"wrote {os.path.join(out, 'model.ckpt')}")
     write_history_csv(record, os.path.join(out, "history.csv"))
     print(f"wrote {os.path.join(out, 'history.csv')}")
-    _emit_metrics(model, graph, out, prefix="")
+    _emit_metrics(model, out, prefix="")
     return 0
 
 
@@ -176,12 +176,12 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
     # the trained filter plan, not a fresh one: no ranking, no eigendecomposition
     model = build_model(graph, cfg, plan=checkpoint_plan(ckpt))
     load_checkpoint(model, ckpt)
-    _emit_metrics(model, graph, out, prefix="eval_")
+    _emit_metrics(model, out, prefix="eval_")
     return 0
 
 
-def _emit_metrics(model, graph, out: str, prefix: str) -> None:
-    fp = forward_pass(model, graph, record=False)
+def _emit_metrics(model, out: str, prefix: str) -> None:
+    graph, fp = model.graph, forward_pass(model, record=False)
     rec = split_metrics(fp.prob, graph, "test")
     _write_json(os.path.join(out, f"{prefix}metrics.json"), rec.as_dict())
     mask = graph.split_masks["test"]

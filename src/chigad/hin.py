@@ -256,8 +256,12 @@ def hetero_graph_from_dict(doc: dict) -> HeteroGraph:
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise GraphFormatError(f"relation {name}: edges must be [u, v] pairs")
             u, v = arr[:, 0], arr[:, 1]
-            if u.min() < 0 or u.max() >= n_src or v.min() < 0 or v.max() >= n_dst:
-                raise GraphFormatError(f"relation {name}: dangling endpoint")
+            dangling = (u < 0) | (u >= n_src) | (v < 0) | (v >= n_dst)
+            if dangling.any():
+                k = int(np.argmax(dangling))
+                raise GraphFormatError(
+                    f"relation {name}: dangling endpoint: edges[{k}] = [{u[k]}, {v[k]}], "
+                    f"but {src} has {n_src} nodes and {dst} has {n_dst}")
             adj = sp.csr_matrix((np.ones(len(arr)), (u, v)), shape=(n_src, n_dst))
         else:
             adj = sp.csr_matrix((n_src, n_dst))
@@ -335,7 +339,8 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
 
     Layout: meta.json (node_types order, relations with src/dst, target_type),
     nodes_<type>.csv (feature columns; label column on the target type, empty
-    cell = unlabeled), edges_<relation>.csv (u,v rows), splits.csv (id,split).
+    cell = unlabeled), edges_<relation>.csv (header u,v), splits.csv (header
+    id,split); an edge or split file with another header is refused.
     A cell that does not parse as a number (feature) or an integer (label,
     edge endpoint, split id), a row that is short of a cell or blank, an
     unknown split name, and a meta.json entry missing a field raise a
@@ -385,14 +390,14 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
         name, src, dst = (_field(rel, key, f"{meta_path}: relations[{k}]")
                           for key in ("name", "src", "dst"))
         path = os.path.join(directory, f"edges_{name}.csv")
-        body = _read_csv(path)[1]
+        body = _read_csv(path, ["u", "v"])[1]
         _check_rows(body, ["edge", "edge"], path)
         edges = [_cells(r[:2], int, path, i, "edge") for i, r in enumerate(body, 2)]
         doc["relations"].append({"name": name, "src": src, "dst": dst, "edges": edges})
 
     splits: dict[str, list[int]] = {name: [] for name in SPLITS}
     path = os.path.join(directory, "splits.csv")
-    body = _read_csv(path)[1]
+    body = _read_csv(path, ["id", "split"])[1]
     _check_rows(body, ["id", "split"], path)
     for k, row in enumerate(body, 2):
         nid, split = _cells(row[:1], int, path, k, "id")[0], row[1]
@@ -424,8 +429,10 @@ def _check_rows(body: list[list[str]], fields: list[str], path: str) -> None:
                                    f"the {len(fields)} fields of the file")
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """The header row and the body rows of a CSV file."""
+def _read_csv(path: str, header: list[str] | None = None
+              ) -> tuple[list[str], list[list[str]]]:
+    """The header row and the body rows of a CSV file, whose header must be
+    `header` when one is given."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -433,6 +440,9 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise GraphFormatError(f"{path}: empty file, expected a header row")
+    if header is not None and rows[0] != header:
+        raise GraphFormatError(f"{path}: header '{','.join(rows[0])}', "
+                               f"expected '{','.join(header)}'")
     return rows[0], rows[1:]
 
 

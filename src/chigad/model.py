@@ -6,8 +6,8 @@ Three stages, built per graph:
    the type carries a fused Chi-Square filter applied through a learnable
    scalar importance w^S, and the filtered signals are summed into a semantic
    representation (width-preserving).  The filter acts on the constant
-   features X, so each meta-path graph caches its powers S^k X once and a
-   forward pass only weighs them by c_k (w^S)^k: no sparse products.
+   features X, so each meta-path graph's powers S^k X are cached at build, S
+   is dropped, and a forward pass only weighs them by c_k (w^S)^k.
 2. Alignment: one linear map per type onto a shared width d_a.
 3. Interactive meta-graph convolution: the aligned blocks are stacked in the
    global node order, activated, and passed through the sum of a fixed set
@@ -30,8 +30,9 @@ Three stages, built per graph:
 Every shift operator S is a normalized Laplacian, held as the plain CSR
 matrix `laplacian(adj)` returns: its spectrum lies in [0, 2], the interval
 the filters are fitted on.  An ablation is built by swapping filters on a
-built model (each bank entry's `poly`, whose cached powers follow its length,
-and the `conv` layer), not by a config key.
+built model (each bank entry's `poly`, which reads the first of the entry's
+cached powers, so it may be no longer than the built filter, and the `conv`
+layer), not by a config key.
 
 The homogeneous variant (ChiGNN) is the same network on a graph with one node
 type n and one relation e: n -> n.  With path_min = path_max = 1 its one
@@ -44,8 +45,8 @@ one record, `TypePlan`, whose fields are those of the plan document a
 checkpoint stores.  Fresh planning, a stored plan and a type with no valid
 meta-path (null labels, no division) all give a `TypePlan`, and
 `build_model(graph, cfg, plan)` reuses a stored one instead of ranking and
-profiling again.  A built model keeps only what its forward pass and its
-checkpoint read: no meta-path graph outlives the build.
+profiling again.  A model scores only the graph it was built on, held by
+reference; no meta-path graph or its Laplacian outlives the build.
 """
 
 from __future__ import annotations
@@ -220,27 +221,15 @@ def _restore_type_plan(node_type: str, paths: list[MetaPath],
 
 @dataclass(eq=False)
 class BankEntry:
-    operator: sp.csr_matrix     # normalized Laplacian of the meta-path graph
     poly: PolyFilter            # the fused filter's fit
     weight_name: str
-    basis: list[np.ndarray] = field(default_factory=list, repr=False)  # S^k X
+    basis: list[np.ndarray] = field(repr=False)  # S^k X, k < len(built filter)
 
 
 @dataclass(eq=False)
 class MultiGraphFilterBank:
     node_type: str
     entries: list[BankEntry]
-    features: np.ndarray | None = field(default=None, repr=False)  # X of the bases
-
-    def refresh_basis(self, X: np.ndarray) -> None:
-        """Make every entry's cached powers S^k X those of X, one per
-        coefficient of its filter; rebuild only the entries that differ."""
-        stale = self.features is None or not np.array_equal(self.features, X)
-        if stale:
-            self.features = np.array(X, dtype=np.float64)
-        for e in self.entries:
-            if stale or len(e.basis) != len(e.poly.cheb):
-                e.basis = list(ad.monomial_powers(e.operator, self.features, len(e.poly.cheb)))
 
 
 @dataclass(eq=False)
@@ -272,18 +261,14 @@ class MetaGraphConvLayer:
 
 @dataclass(eq=False)
 class ChiGadModel:
-    node_types: list[str]
+    graph: HeteroGraph = field(repr=False)  # the build graph, by reference
     banks: dict[str, MultiGraphFilterBank]
     conv: MetaGraphConvLayer
     params: dict[str, np.ndarray]      # declaration order = checkpoint order
-    schema: dict
     schema_hash: str
     activation: str
     mlp_layers: int
     plans: dict[str, TypePlan] = field(default_factory=dict)
-    # the build graph's relation blocks, by reference: the edges every
-    # operator above was built from
-    adjacency: list[sp.csr_matrix] = field(default_factory=list, repr=False)
 
 
 def graph_signature(graph: HeteroGraph) -> dict:
@@ -294,17 +279,6 @@ def graph_signature(graph: HeteroGraph) -> dict:
             [r.name, r.src, r.dst, int(r.adjacency.nnz)] for r in graph.relations],
         "target_type": graph.target_type,
     }
-
-
-def schema_signature(graph: HeteroGraph, cfg: RunConfig) -> dict:
-    sig = graph_signature(graph)
-    sig["arch"] = cfg.arch_fingerprint()
-    return sig
-
-
-def _hash_schema(schema: dict, param_shapes: list) -> str:
-    doc = json.dumps({"schema": schema, "params": param_shapes}, sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -342,10 +316,11 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
                 continue
             name = f"wS[{o}][{idx}]"
             params[name] = np.asarray(1.0)
-            entries.append(BankEntry(laplacian(graphs[idx].adjacency), fused[division], name))
+            poly = fused[division]
+            entries.append(BankEntry(poly, name, list(ad.monomial_powers(
+                laplacian(graphs[idx].adjacency), graph.features[o], len(poly.cheb)))))
         del graphs      # let them go before the next type is planned
         banks[o] = MultiGraphFilterBank(o, entries)
-        banks[o].refresh_basis(graph.features[o])
 
     rng = np.random.default_rng(sub_seed(cfg.seed, "init"))
     for o in graph.node_types:
@@ -371,20 +346,12 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
         params[f"mlp.{k}.b"] = (np.zeros(fan_out) if last else
                                 _uniform_init(rng, fan_in, (fan_out,)))
 
-    schema = schema_signature(graph, cfg)
-    shash = _hash_schema(schema, [[n, list(p.shape)] for n, p in params.items()])
-    return ChiGadModel(
-        node_types=list(graph.node_types),
-        banks=banks,
-        conv=conv,
-        params=params,
-        schema=schema,
-        schema_hash=shash,
-        activation=cfg.activation,
-        mlp_layers=cfg.mlp_layers,
-        plans=plans,
-        adjacency=[r.adjacency for r in graph.relations],
-    )
+    schema_doc = json.dumps({"schema": graph_signature(graph) | {"arch": cfg.arch_fingerprint()},
+                             "params": [[n, list(p.shape)] for n, p in params.items()]},
+                            sort_keys=True)
+    return ChiGadModel(graph=graph, banks=banks, conv=conv, params=params,
+                       schema_hash=hashlib.sha256(schema_doc.encode()).hexdigest(),
+                       activation=cfg.activation, mlp_layers=cfg.mlp_layers, plans=plans)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +377,15 @@ class ForwardPass:
             self.tape.release()
 
 
-def multi_graph_forward(bank: MultiGraphFilterBank, X: np.ndarray,
+def multi_graph_forward(bank: MultiGraphFilterBank,
                         weight_nodes: dict[str, ad.Node]) -> ad.Node:
-    """Semantic representation of the features X: sum over meta-paths of the
-    fused filter applied through the learnable importance w^S.
-
-    X is a constant, so it receives no gradient; the bank's cached powers are
-    rebuilt first if they were built from other features.
+    """Semantic representation of the bank's type: sum over meta-paths of the
+    fused filter applied to the features through the learnable importance
+    w^S.  The features and their cached powers are constants, so only w^S
+    receives a gradient.
     """
     if not bank.entries:
         raise ValueError(f"filter bank of type {bank.node_type} is empty")
-    bank.refresh_basis(X)
     acc = None
     for e in bank.entries:
         term = ad.basis_combine(e.poly.coeffs, e.basis, weight_nodes[e.weight_name])
@@ -428,35 +393,23 @@ def multi_graph_forward(bank: MultiGraphFilterBank, X: np.ndarray,
     return acc
 
 
-def forward_pass(model: ChiGadModel, graph: HeteroGraph,
-                 record: bool = True) -> ForwardPass:
-    """The model's forward pass on a graph of its schema and edges, with any
-    features; record=False for a pass that will run no backward (see
-    ForwardPass)."""
-    got = graph_signature(graph)
-    want = {k: model.schema[k] for k in got}
-    if got != want:
-        raise ValueError("graph does not match the schema this model was built for")
-    for rel, built in zip(graph.relations, model.adjacency):
-        a = rel.adjacency
-        if a is not built and not (np.array_equal(a.indptr, built.indptr)
-                                   and np.array_equal(a.indices, built.indices)):
-            raise ValueError(f"relation '{rel.name}' has other edges than in the graph "
-                             "this model was built for")
-
+def forward_pass(model: ChiGadModel, *, record: bool = True) -> ForwardPass:
+    """The model's forward pass on the graph it was built on; record=False
+    for a pass that will run no backward (see ForwardPass)."""
+    graph = model.graph
     tape = ad.Tape(record)
     pnodes = {name: tape.leaf(arr, name) for name, arr in model.params.items()}
 
     def aligned(o: str) -> ad.Node:
         bank = model.banks[o]
         # a type with no valid meta-path keeps its raw features
-        xs = (multi_graph_forward(bank, graph.features[o], pnodes) if bank.entries
+        xs = (multi_graph_forward(bank, pnodes) if bank.entries
               else tape.leaf(graph.features[o], f"X[{o}]"))
         return ad.matmul(xs, pnodes[f"W_align[{o}]"])
 
     # node_types order = global node order; without a record the blocks and
     # the stack are freed once the activation has read them
-    activated = ad.activation(ad.vstack([aligned(o) for o in model.node_types]),
+    activated = ad.activation(ad.vstack([aligned(o) for o in graph.node_types]),
                               model.activation)
     conv = model.conv
     if conv.block is not None:

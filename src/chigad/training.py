@@ -7,7 +7,8 @@ are the ones the high-frequency machinery finds hardest, so the loss weight
 interpolates from H (hardest, c = c_min) down to L (easiest, c = c_max), with
 benign nodes fixed at weight 1 and H >= L >= 1 keeping anomalies upweighted.
 Contributions are recomputed from the live X' every epoch and enter the loss
-as constants.
+as constants.  A model trains and is evaluated on the graph it was built on
+(`ChiGadModel.graph`), whose labels and splits the loss and the metrics read.
 """
 
 from __future__ import annotations
@@ -160,9 +161,11 @@ class TrainRecord:
     best_val_f1: float = -1.0
 
 
-def train(model: ChiGadModel, graph: HeteroGraph, cfg: RunConfig) -> TrainRecord:
-    """Full-batch loop with per-epoch contribution weights and best-validation
-    checkpointing (F1-macro on the validation split selects the kept weights)."""
+def train(model: ChiGadModel, cfg: RunConfig) -> TrainRecord:
+    """Full-batch loop on the model's build graph with per-epoch contribution
+    weights and best-validation checkpointing (F1-macro on the validation split
+    selects the kept weights)."""
+    graph = model.graph
     train_mask = graph.split_masks["train"]
     val_mask = graph.split_masks["val"]
     if not train_mask.any() or not val_mask.any():
@@ -175,7 +178,7 @@ def train(model: ChiGadModel, graph: HeteroGraph, cfg: RunConfig) -> TrainRecord
     record = TrainRecord()
     best_params = {k: v.copy() for k, v in model.params.items()}
     for epoch in range(cfg.epochs):
-        fp = forward_pass(model, graph)
+        fp = forward_pass(model)
         try:
             contrib = node_contributions(fp.rep.value, L_t, restrict=train_mask)
         except DegenerateRepresentation as err:
@@ -223,9 +226,10 @@ def split_metrics(prob: np.ndarray, graph: HeteroGraph, split: str = "test",
     return compute_metrics(prob[mask, 1], graph.labels[mask], threshold)
 
 
-def evaluate(model: ChiGadModel, graph: HeteroGraph, split: str = "test",
+def evaluate(model: ChiGadModel, split: str = "test",
              threshold: float = 0.5) -> MetricsRecord:
-    return split_metrics(forward_pass(model, graph, record=False).prob, graph, split,
+    """Metrics of the model's scores over one split of its build graph."""
+    return split_metrics(forward_pass(model, record=False).prob, model.graph, split,
                          threshold)
 
 

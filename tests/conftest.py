@@ -1,10 +1,23 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from chigad.chifilter import PolyFilter
 from chigad.config import RunConfig
 from chigad.hin import hetero_graph_from_dict
-from chigad.model import MetaGraphConvLayer
+
+
+def _load_demo(name: str):
+    path = Path(__file__).resolve().parent.parent / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"demos_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the ablation baseline's filter swap, written once in the demo that shows it
+lowpass_ablation = _load_demo("train_eval").lowpass_ablation
 
 
 def make_hin(rng, sizes=(6, 3, 3), dims=(4, 3, 2), extra_relation=False,
@@ -58,19 +71,6 @@ def tiny_hin():
 def small_cfg():
     return RunConfig(candidates=(1, 2, 3), bands=3, aligned_dim=5,
                      epochs=5, learning_rate=0.01, mlp_layers=2, seed=0)
-
-
-def lowpass_ablation(model):
-    """Swap every filter of a built model for the degree-1 low-pass 1 - w/2
-    (response 1 at w = 0, 0 at w = 2), the ablation baseline.  Each bank
-    entry's cached powers follow its filter's length on the next pass."""
-    lowpass = PolyFilter(np.array([0.5, -0.5]), 0.0)   # 1/2 - T_1(w - 1)/2
-    for bank in model.banks.values():
-        for e in bank.entries:
-            e.poly = lowpass
-    model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
-                                    model.conv.width)
-    return model
 
 
 def make_one_type_hin(rng, n=12, dim=3, anomalies=(0, 5, 9)):

@@ -222,7 +222,7 @@ def test_c4_gradients(capsys):
             ones = np.ones(graph.node_counts[graph.target_type])
 
             def loss_of():
-                fp = forward_pass(model, graph)
+                fp = forward_pass(model)
                 return fp, ad.weighted_softmax_ce(fp.logits, graph.labels, ones, mask)
 
             fp, loss = loss_of()
@@ -346,7 +346,7 @@ def test_c6_loss_identities(capsys):
         cfg = RunConfig(candidates=(1, 2), bands=3, aligned_dim=5,
                         mlp_layers=2, epochs=6, learning_rate=0.01, seed=0)
         model = build_model(graph, cfg)
-        record = train(model, graph, cfg)
+        record = train(model, cfg)
         assert record.epochs
         for stats in record.epochs:
             assert abs(stats.contrib_sum - stats.contrib_dims) <= 1e-9
@@ -373,8 +373,8 @@ def test_c7_synthetic_detection(capsys):
                 model = build_model(graph, cfg)
                 if mode == "lowpass1":
                     lowpass_ablation(model)
-                train(model, graph, cfg)
-                results[mode].append(evaluate(model, graph, "test"))
+                train(model, cfg)
+                results[mode].append(evaluate(model, "test"))
 
         def means(mode):
             rows = results[mode]

@@ -96,7 +96,11 @@ class TestValues:
         got = basis_combine(coeffs, list(monomial_powers(S, X, 5)), w)
         want = sparse_poly_apply(coeffs, S, t.leaf(X), w)
         assert np.array_equal(got.value, want.value)
-        with pytest.raises(ValueError, match="basis"):
+        # a longer basis is read up to the coefficients' length; a shorter one
+        # is refused
+        longer = basis_combine(coeffs, list(monomial_powers(S, X, 7)), w)
+        assert np.array_equal(longer.value, want.value)
+        with pytest.raises(ValueError, match="5 coefficients for a basis of 4 powers"):
             basis_combine(coeffs, list(monomial_powers(S, X, 4)), w)
 
     def test_ce_perfect_prediction(self):
@@ -542,7 +546,7 @@ class TestSplit:
         # (400 x 32) sit below the split, where two threads lose
         cfg = bench_config(0)
         graph = generate_synthetic_hin(BENCH_SPEC, sub_seed(0, "synth"))
-        fp = forward_pass(build_model(graph, cfg), graph, record=False)
+        fp = forward_pass(build_model(graph, cfg), record=False)
         assert fp.conv_input.value.shape == (600, 32)
         assert fp.rep.value.shape == (400, 32)
         assert 600 * 32 < ad.SPLIT_MIN <= 12_000 * 32

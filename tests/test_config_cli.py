@@ -391,7 +391,7 @@ class TestCliGraphCommands:
         load_checkpoint(model, ckpt)
         for o, tp in trained_plans.items():
             assert model.plans[o].assigned == tp.assigned
-        want = split_metrics(forward_pass(model, other).prob, other, "test").as_dict()
+        want = split_metrics(forward_pass(model).prob, other, "test").as_dict()
         assert json.loads((scored / "eval_metrics.json").read_text()) == want
 
     def test_train_then_eval_reproduces(self, tmp_path):
@@ -559,7 +559,7 @@ class TestCliImport:
             "from chigad.model import build_model, forward_pass\n"
             "from chigad.autodiff import node_sum\n"
             "model = build_model(g, RunConfig(candidates=(1, 3), bands=3, aligned_dim=4))\n"
-            "fp = forward_pass(model, g)\n"
+            "fp = forward_pass(model)\n"
             "fp.tape.backward(node_sum(fp.logits))\n"
             "assert fp.param_nodes['mlp.0.W'].grad is not None\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
@@ -580,7 +580,7 @@ class TestWorkerPool:
             "from chigad import build_model, generate_synthetic_hin, train\n"
             f"cfg = {cfg!r}\n"
             "g = generate_synthetic_hin(cfg.synth, sub_seed(0, 'synth'))\n"
-            "train(build_model(g, cfg), g, cfg)\n"
+            "train(build_model(g, cfg), cfg)\n"
             "counts.append(threading.active_count())\n"
             "print(counts)\n")
         assert run_python(code, timeout=120).stdout.strip() == "[1, 1]"

@@ -66,7 +66,9 @@ class TestLoading:
     def test_dangling_endpoint(self):
         doc = paper_schema_doc()
         doc["relations"][0]["edges"].append([0, 9])
-        with pytest.raises(GraphFormatError, match="dangling"):
+        with pytest.raises(GraphFormatError, match=re.escape(
+                "relation compose: dangling endpoint: edges[3] = [0, 9], "
+                "but A has 3 nodes and P has 2")):
             hetero_graph_from_dict(doc)
 
     def test_mask_overlap(self):
@@ -345,6 +347,19 @@ class TestCsvLoading:
             "split-name", "meta-node-types", "empty-file", "no-node-rows",
             "no-label-column", "node-extra-cell", "edge-extra-cell", "split-extra-cell"])
     def test_malformed_cell_names_file_and_field(self, tmp_path, name, text, where):
+        directory = self.write_one_type(tmp_path, **{name: text})
+        with pytest.raises(GraphFormatError, match=re.escape(where)):
+            load_hetero_graph_csv(directory)
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("edges_aa.csv", "v,u\n1,0\n", "edges_aa.csv: header 'v,u', expected 'u,v'"),
+        ("edges_aa.csv", "dst,src\n1,0\n", "edges_aa.csv: header 'dst,src', expected 'u,v'"),
+        ("splits.csv", "split,id\ntrain,0\n",
+         "splits.csv: header 'split,id', expected 'id,split'"),
+    ], ids=["edges-swapped", "edges-renamed", "splits-swapped"])
+    def test_header_names_file_found_and_expected(self, tmp_path, name, text, where):
+        # the columns are read by position: another header would load the
+        # columns swapped or fail far from its cause
         directory = self.write_one_type(tmp_path, **{name: text})
         with pytest.raises(GraphFormatError, match=re.escape(where)):
             load_hetero_graph_csv(directory)

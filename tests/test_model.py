@@ -5,13 +5,15 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from chigad import autodiff as ad
 from chigad import model as model_module
 from chigad.chifilter import PolyFilter, fit_polynomial
 from chigad.config import RunConfig, sub_seed
-from chigad.hin import GraphFormatError, hetero_graph_from_dict, hetero_graph_to_dict
+from chigad.hin import (GraphFormatError, hetero_graph_from_dict, hetero_graph_to_dict,
+                        laplacian, materialize_meta_path_graph)
 from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
                           MetaGraphConvLayer, build_model, checkpoint_plan,
                           cut_series, forward_pass,
@@ -123,8 +125,8 @@ class TestPlanning:
             build_model(g, cfg)
 
     def test_model_lets_meta_path_graphs_go(self, monkeypatch):
-        # a built model holds the bank operators, not the meta-path graphs
-        # they were built from
+        # a built model holds the bank entries' cached powers, not the
+        # meta-path graphs they were built from
         refs = []
         materialize = model_module.materialize_meta_path_graph
 
@@ -216,7 +218,7 @@ class TestBuild:
 class TestForward:
     def test_prob_rows_normalized(self):
         g, _, model = small_model()
-        fp = forward_pass(model, g, record=False)
+        fp = forward_pass(model, record=False)
         prob, rep = fp.prob, fp.rep.value
         assert prob.shape == (6, 2)
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
@@ -225,105 +227,60 @@ class TestForward:
 
     def test_forward_deterministic(self):
         g, _, model = small_model()
-        f1 = forward_pass(model, g, record=False)
-        f2 = forward_pass(model, g, record=False)
+        f1 = forward_pass(model, record=False)
+        f2 = forward_pass(model, record=False)
         assert np.array_equal(f1.prob, f2.prob)
         assert np.array_equal(f1.rep.value, f2.rep.value)
 
-    def test_schema_guard(self):
-        g, cfg, model = small_model()
-        other = make_hin(np.random.default_rng(1), sizes=(7, 3, 3))
-        with pytest.raises(ValueError, match="schema"):
-            forward_pass(model, other)
-
-    def test_edge_guard(self):
-        # same counts, widths and nnz per relation, other edges: the model's
-        # operators are the build graph's, so the graph is refused
-        g = generate_synthetic_hin(
-            SyntheticSpec(sizes=(40, 10, 10), feature_dims=(3, 3, 3)), 0)
-        cfg = RunConfig(candidates=(1, 3), bands=3, aligned_dim=8, mlp_layers=2)
-        model = build_model(g, cfg)
-        rng = np.random.default_rng(3)
-        for name, arr in model.params.items():
-            model.params[name] = arr + rng.normal(0.0, 0.5, np.shape(arr))
-        perm = np.random.default_rng(1).permutation(10)
-        doc = hetero_graph_to_dict(g)
-        for rel in doc["relations"]:
-            if {rel["src"], rel["dst"]} == {"t1", "t2"}:
-                col = 1 if rel["dst"] == "t2" else 0
-                for e in rel["edges"]:
-                    e[col] = int(perm[e[col]])
-        other = hetero_graph_from_dict(doc)
-        assert graph_signature(other) == graph_signature(g)
-        with pytest.raises(ValueError, match="relation 'r_t1_t2' has other edges"):
-            forward_pass(model, other)
-        # what the refused pass would have returned differs from the same
-        # weights on a model built for that graph from the same plan
-        fresh = build_model(other, cfg, plan=plan_document(model.plans))
-        fresh.params = {k: v.copy() for k, v in model.params.items()}
-        stale = forward_pass(model, g, record=False).prob
-        assert np.abs(forward_pass(fresh, other, record=False).prob - stale).max() > 0.05
-
     def test_bank_matches_dense_oracle(self):
         g, _, model = small_model()
-        bank = model.banks["a"]
+        bank, tp = model.banks["a"], model.plans["a"]
         assert bank.entries
+        # the model keeps no Laplacian: rebuild each entry's from its
+        # meta-path graph
+        valid = [idx for idx, label in enumerate(tp.labels) if label is not None]
+        assert [e.weight_name for e in bank.entries] == [f"wS[a][{idx}]" for idx in valid]
+        ops = [laplacian(materialize_meta_path_graph(g, tp.paths[idx]).adjacency)
+               for idx in valid]
         tape = ad.Tape()
         X = g.features["a"]
         wnodes = {e.weight_name: tape.leaf(1.7) for e in bank.entries}
-        out = multi_graph_forward(bank, X, wnodes)
+        out = multi_graph_forward(bank, wnodes)
         want = np.zeros_like(X)
-        for e in bank.entries:
+        for e, S in zip(bank.entries, ops):
             scaled = e.poly.coeffs * 1.7 ** np.arange(len(e.poly.coeffs))
-            want += dense_poly_apply(scaled, e.operator.toarray(), X)
+            want += dense_poly_apply(scaled, S.toarray(), X)
         assert np.allclose(out.value, want, atol=1e-10)
         # the cached powers reproduce the sparse products bit for bit
         x = tape.leaf(X)
         direct = None
-        for e in bank.entries:
-            term = ad.sparse_poly_apply(e.poly.coeffs, e.operator, x,
-                                        wnodes[e.weight_name])
+        for e, S in zip(bank.entries, ops):
+            term = ad.sparse_poly_apply(e.poly.coeffs, S, x, wnodes[e.weight_name])
             direct = term if direct is None else ad.add(direct, term)
         assert np.array_equal(out.value, direct.value)
 
-    def test_basis_follows_features(self):
-        # a same-schema graph with other features rebuilds the cached powers
-        g, cfg, model = small_model()
-        rng = np.random.default_rng(9)
-        for name in model.params:
-            model.params[name] = rng.standard_normal(model.params[name].shape)
-        doc = hetero_graph_to_dict(g)
-        for nt in doc["node_types"]:
-            nt["features"] = (2.0 * np.array(nt["features"])).tolist()
-        doubled = hetero_graph_from_dict(doc)
-        # doubling the features scales every Rayleigh quotient and band
-        # energy exactly, so the fresh build makes the same plan
-        fresh = build_model(doubled, cfg)
-        for o in model.node_types:
-            assert ([e.poly.coeffs.tolist() for e in model.banks[o].entries] ==
-                    [e.poly.coeffs.tolist() for e in fresh.banks[o].entries])
-        fresh.params = {k: v.copy() for k, v in model.params.items()}
-
-        f0 = forward_pass(model, g, record=False)
-        f1 = forward_pass(model, doubled, record=False)
-        want = forward_pass(fresh, doubled, record=False)
-        assert not np.allclose(f0.rep.value, f1.rep.value)
-        assert np.array_equal(f1.prob, want.prob)
-        assert np.array_equal(f1.rep.value, want.rep.value)
-        # and back again
-        f2 = forward_pass(model, g, record=False)
-        assert np.array_equal(f2.prob, f0.prob) and np.array_equal(f2.rep.value, f0.rep.value)
-
     def test_zero_features_collapse_rows(self):
         # with all-zero inputs only the MLP biases drive the logits, so every
-        # target row gets the same probability vector
+        # target row gets the same probability vector.  Zero features cannot
+        # be ranked, so the model is built from the stored plan
         g, cfg, model = small_model()
         doc = hetero_graph_to_dict(g)
         for nt in doc["node_types"]:
             nt["features"] = np.zeros((nt["count"], nt["feature_dim"])).tolist()
         gz = hetero_graph_from_dict(doc)
-        prob = forward_pass(model, gz, record=False).prob
+        zeroed = build_model(gz, cfg, plan=plan_document(model.plans))
+        zeroed.params = {k: v.copy() for k, v in model.params.items()}
+        prob = forward_pass(zeroed, record=False).prob
         assert np.allclose(prob, prob[0], atol=1e-12)
+
+    def test_scores_only_its_build_graph(self):
+        # the graph is the model's own; a second positional argument is refused
+        g, _, model = small_model()
+        assert model.graph is g
+        with pytest.raises(TypeError):
+            forward_pass(model, g)
+        with pytest.raises(TypeError):
+            forward_pass(model, g, record=False)
 
     def test_type_without_closed_path_keeps_raw_features(self):
         doc = {
@@ -352,15 +309,13 @@ class TestForward:
         model = build_model(g, cfg)
         assert model.banks["Z"].entries == []
         assert model.banks["A"].entries
-        prob = forward_pass(model, g, record=False).prob
+        prob = forward_pass(model, record=False).prob
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
 
     def test_empty_bank_direct_call_rejected(self):
-        g, _, model = small_model()
         from chigad.model import MultiGraphFilterBank
-        tape = ad.Tape()
         with pytest.raises(ValueError, match="empty"):
-            multi_graph_forward(MultiGraphFilterBank("a", []), tape.leaf(np.ones((2, 2))), {})
+            multi_graph_forward(MultiGraphFilterBank("a", []), {})
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(77)
@@ -383,8 +338,8 @@ class TestForward:
                 for u, v in rel["edges"]]
         g2 = hetero_graph_from_dict(doc)
 
-        p1 = forward_pass(build_model(g, cfg), g, record=False).prob
-        p2 = forward_pass(build_model(g2, cfg), g2, record=False).prob
+        p1 = forward_pass(build_model(g, cfg), record=False).prob
+        p2 = forward_pass(build_model(g2, cfg), record=False).prob
         assert np.allclose(p1[perm], p2, atol=1e-9)
 
 
@@ -393,7 +348,7 @@ class TestTapeLifetime:
         g, cfg, model = small_model()
         gc.disable()
         try:
-            fp = forward_pass(model, g)
+            fp = forward_pass(model)
             loss = ad.weighted_softmax_ce(fp.logits, g.labels, np.ones(len(g.labels)),
                                           g.split_masks["train"])
             fp.tape.backward(loss)
@@ -410,7 +365,7 @@ class TestTapeLifetime:
         g, cfg, model = small_model()
         gc.disable()
         try:
-            fp = forward_pass(model, g)
+            fp = forward_pass(model)
             logits = fp.logits
             ref = weakref.ref(fp.tape)
             del fp
@@ -502,7 +457,7 @@ class TestCheckpoint:
         again = tmp_path / "again.ckpt"
         save_checkpoint(rebuilt, str(again))
         assert again.read_bytes() == path.read_bytes()
-        assert np.array_equal(forward_pass(rebuilt, g).prob, forward_pass(model, g).prob)
+        assert np.array_equal(forward_pass(rebuilt).prob, forward_pass(model).prob)
 
     def test_v1_checkpoint_rejected(self, tmp_path):
         g, cfg, model = small_model()
@@ -672,7 +627,7 @@ class TestChiGnn:
         assert [e.weight_name for e in model.banks["n"].entries] == ["wS[n][0]"]
         assert model.conv.operator.shape[0] == g.node_counts["n"]
         assert [f.degree for f in model.conv.filters] == [1 - 1 + 3, 2 - 1 + 3]
-        fp = forward_pass(model, g, record=False)
+        fp = forward_pass(model, record=False)
         prob, rep = fp.prob, fp.rep.value
         assert prob.shape == (12, 2) and rep.shape == (12, 4)
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-12)
@@ -688,7 +643,7 @@ class TestChiGnn:
         model.conv = MetaGraphConvLayer(model.conv.operator,
                                         [PolyFilter(np.array([1.0]), 0.0)],
                                         model.conv.rows, model.conv.width)
-        prob = forward_pass(model, g, record=False).prob
+        prob = forward_pass(model, record=False).prob
         p = model.params
         h = np.maximum(g.features["n"] @ p["W_align[n]"], 0.0)
         h = np.maximum(h @ p["mlp.0.W"] + p["mlp.0.b"], 0.0)
@@ -706,29 +661,6 @@ def c7_graph():
     cfg = bench_config(0)
     cfg.epochs = 1
     return generate_synthetic_hin(BENCH_SPEC, sub_seed(0, "synth")), cfg
-
-
-class CountingOperator:
-    """Sparse-matrix stand-in that counts its products with dense operands."""
-
-    def __init__(self, mat, counter: list[int]):
-        self.mat, self.counter = mat, counter
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    @property
-    def T(self):
-        return CountingOperator(self.mat.T, self.counter)
-
-    def __matmul__(self, other):
-        self.counter[0] += 1
-        return self.mat @ other
-
-
-def counted(op, counter: list[int]) -> CountingOperator:
-    return CountingOperator(op, counter)
 
 
 class CountingSparsetools:
@@ -756,19 +688,18 @@ class TestBenchGraph:
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_epoch_matvec_counts(self, c7_graph, monkeypatch):
-        # one training epoch: the banks weigh cached powers (no products) and
-        # the convolution is one cut Chebyshev series, applied forward and to
-        # the gradient, one product with 2(S - I) per degree
+        # one training epoch: the banks weigh cached powers (they hold no
+        # operator to multiply by) and the convolution is one cut Chebyshev
+        # series, applied forward and to the gradient, one product with
+        # 2(S - I) per degree
         graph, cfg = c7_graph
         model = build_model(graph, cfg)
-        bank_calls, conv_calls = [0], [0]
-        for bank in model.banks.values():
-            for e in bank.entries:
-                e.operator = counted(e.operator, bank_calls)
+        assert not any(sp.issparse(v) for bank in model.banks.values()
+                       for e in bank.entries for v in vars(e).values())
+        conv_calls = [0]
         monkeypatch.setattr(ad, "_sparsetools", CountingSparsetools(conv_calls))
-        train(model, graph, cfg)
+        train(model, cfg)
         cut_degree = len(model.conv.cheb) - 1
-        assert bank_calls[0] == 0
         assert conv_calls[0] == 2 * cut_degree == 28
         # the c7 series' tail is already below the cut: nothing drops
         assert len(summed_coeffs(model.conv.filters)) == len(model.conv.cheb)
@@ -805,7 +736,7 @@ class TestDenseTargetBlock:
         model = build_model(defaults_graph, RunConfig())
         conv = model.conv
         assert conv.block is not None
-        fp = forward_pass(model, defaults_graph)
+        fp = forward_pass(model)
         G = np.random.default_rng(11).standard_normal(fp.rep.shape)
         fp.tape.backward(ad.node_sum(ad.elementwise_mul(fp.rep, fp.tape.leaf(G))))
 
@@ -817,18 +748,25 @@ class TestDenseTargetBlock:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_filter_swap_sets_only_poly(self, c7_graph):
-        # a bank entry's cached powers follow its filter's length: swapping in
-        # the low-pass alone matches the old manual cut of the basis to two
+        # a swapped-in shorter filter reads the first powers of an entry's
+        # cache: swapping in the low-pass alone matches a manual cut of the
+        # basis to two, and a filter longer than the cache is refused
         graph, cfg = c7_graph
         swapped = lowpass_ablation(build_model(graph, cfg))
         cut = lowpass_ablation(build_model(graph, cfg))
         for bank in cut.banks.values():
             for e in bank.entries:
                 del e.basis[2:]
-        got = forward_pass(swapped, graph, record=False).prob
-        want = forward_pass(cut, graph, record=False).prob
+        got = forward_pass(swapped, record=False).prob
+        want = forward_pass(cut, record=False).prob
         assert got.tobytes() == want.tobytes()
-        assert all(len(e.basis) == 2 for b in swapped.banks.values() for e in b.entries)
+        longer = fit_polynomial(max(cfg.candidates) + 2, cfg.degree_budget)
+        entry = next(e for b in swapped.banks.values() for e in b.entries)
+        assert len(longer.cheb) > len(entry.basis)
+        entry.poly = longer
+        with pytest.raises(ValueError, match=f"{len(longer.cheb)} coefficients for a "
+                                             f"basis of {len(entry.basis)} powers"):
+            forward_pass(swapped, record=False)
 
     def test_recurrence_on_c7_and_lowpass_ablation(self, c7_graph):
         graph, cfg = c7_graph
@@ -851,8 +789,8 @@ class TestForwardOnlyPass:
     @staticmethod
     def check(graph, cfg):
         model = build_model(graph, cfg)
-        recorded = forward_pass(model, graph)
-        bare = forward_pass(model, graph, record=False)
+        recorded = forward_pass(model)
+        bare = forward_pass(model, record=False)
         assert bare.prob.tobytes() == recorded.prob.tobytes()
         assert bare.rep.value.tobytes() == recorded.rep.value.tobytes()
         assert len(recorded.tape.nodes) > 0 and len(bare.tape.nodes) == 0
@@ -866,7 +804,7 @@ class TestForwardOnlyPass:
         # only the banks read the monomial form; the conv applies its series
         model = build_model(defaults_graph, RunConfig())
         assert all("coeffs" not in vars(f) for f in model.conv.filters)
-        forward_pass(model, defaults_graph, record=False)
+        forward_pass(model, record=False)
         assert all("coeffs" not in vars(f) for f in model.conv.filters)
 
 

@@ -218,7 +218,7 @@ class TestTrainLoop:
 
     def test_loss_decreases(self):
         g, cfg, model = self.setup_run()
-        record = train(model, g, cfg)
+        record = train(model, cfg)
         losses = [e.loss for e in record.epochs]
         assert len(losses) == cfg.epochs
         assert losses[-1] < losses[0]
@@ -226,19 +226,19 @@ class TestTrainLoop:
     def test_loss_halves_across_seeds(self):
         for seed in range(5):
             g, cfg, model = self.setup_run(seed=seed, epochs=60, lr=0.03)
-            record = train(model, g, cfg)
+            record = train(model, cfg)
             losses = [e.loss for e in record.epochs]
             assert min(losses) <= 0.5 * losses[0], f"seed {seed}"
 
     def test_best_params_match_best_epoch(self):
         g, cfg, model = self.setup_run(epochs=15)
-        record = train(model, g, cfg)
+        record = train(model, cfg)
         assert 0 <= record.best_epoch < cfg.epochs
         assert record.best_val_f1 == max(e.val_f1 for e in record.epochs)
         # the restored parameters must reproduce the recorded best val F1
         from chigad.metrics import f1_macro
         from chigad.model import forward_pass
-        fp = forward_pass(model, g)
+        fp = forward_pass(model)
         val = g.split_masks["val"]
         got = f1_macro(fp.prob[val, 1], g.labels[val])
         assert got == pytest.approx(record.best_val_f1, abs=1e-12)
@@ -247,7 +247,7 @@ class TestTrainLoop:
         g, cfg, model = self.setup_run(epochs=5)
         model.params["mlp.0.W"] = model.params["mlp.0.W"] * np.nan
         with pytest.raises(RuntimeError, match="training diverged"):
-            train(model, g, cfg)
+            train(model, cfg)
 
     def test_dead_representation_names_epoch(self):
         # zero alignment weights leave every ReLU output at 0, so X' has no
@@ -258,7 +258,7 @@ class TestTrainLoop:
                 model.params[name][:] = 0.0
         with pytest.raises(RuntimeError, match=r"at epoch 0: .*degenerate Rayleigh.*"
                            r"100\.0% of the relu outputs"):
-            train(model, g, cfg)
+            train(model, cfg)
 
     def test_non_finite_representation_is_divergence(self):
         # a non-finite X' also has no usable dimension, but zeros are not why
@@ -267,36 +267,36 @@ class TestTrainLoop:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(RuntimeError, match="diverged: the representation "
                               "became non-finite at epoch 0"):
-            train(model, g, cfg)
+            train(model, cfg)
 
     def test_empty_split_rejected(self):
         g, cfg, model = self.setup_run()
         g.split_masks["train"][:] = False
         with pytest.raises(ValueError, match="nonempty"):
-            train(model, g, cfg)
+            train(model, cfg)
 
     def test_evaluate_on_splits(self):
         g, cfg, model = self.setup_run(epochs=5)
-        train(model, g, cfg)
-        rec = evaluate(model, g, split="test")
+        train(model, cfg)
+        rec = evaluate(model, split="test")
         d = rec.as_dict()
         assert set(d) == {"auroc", "auprc", "f1_macro", "recall"}
         assert all(0.0 <= v <= 1.0 for v in d.values())
         with pytest.raises(KeyError):
-            evaluate(model, g, split="bogus")
+            evaluate(model, split="bogus")
 
     def test_train_deterministic(self):
         g1, cfg1, m1 = self.setup_run(epochs=8)
         g2, cfg2, m2 = self.setup_run(epochs=8)
-        r1 = train(m1, g1, cfg1)
-        r2 = train(m2, g2, cfg2)
+        r1 = train(m1, cfg1)
+        r2 = train(m2, cfg2)
         assert [e.loss for e in r1.epochs] == [e.loss for e in r2.epochs]
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_history_csv(self, tmp_path):
         g, cfg, model = self.setup_run(epochs=4)
-        record = train(model, g, cfg)
+        record = train(model, cfg)
         path = tmp_path / "history.csv"
         write_history_csv(record, str(path))
         lines = path.read_text().strip().splitlines()
