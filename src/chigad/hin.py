@@ -24,6 +24,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,9 +158,9 @@ def load_hetero_graph(path: str) -> HeteroGraph:
     a list, a name or target_type that is not a string, a count or a
     feature_dim that is not a positive integer (a node type needs at least
     one node and one feature column), a feature that is not a finite number
-    or a ragged feature row, a non-integer edge or split id, a label other
-    than 0, 1 or null, splits that are not an object, or a split key other
-    than train/val/test.
+    or a ragged feature row, a non-integer edge or split id (a JSON true or
+    false is neither a number nor an id), a label other than 0, 1 or null,
+    splits that are not an object, or a split key other than train/val/test.
     """
     try:
         with open(path) as fh:
@@ -177,6 +178,10 @@ def _typed_array(values, what: str, kinds: str, expected: str) -> np.ndarray:
         raise GraphFormatError(f"{what}: ragged nesting, expected {expected}") from exc
     if arr.size and arr.dtype.kind not in kinds:
         raise GraphFormatError(f"{what}: expected {expected}")
+    # numpy reads true or false among numbers as 1 or 0; a set of types checks at C speed
+    if arr.ndim in (1, 2) and bool in set(map(
+            type, chain.from_iterable(values) if arr.ndim == 2 else values)):
+        raise GraphFormatError(f"{what}: true or false among the values, expected {expected}")
     return arr
 
 
@@ -346,8 +351,9 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
     unknown split name, and a meta.json entry missing a field raise a
     GraphFormatError naming the file and the field; a row with more cells than
     the file's fields names the file and the row; a node file with no node
-    rows or no feature column, a target-type node file without a label column
-    and a label column on any other type name the file.
+    rows or no feature column, a target-type node file without exactly one
+    label column, the last, and a label column on any other type name the
+    file.
     """
     meta_path = os.path.join(directory, "meta.json")
     try:
@@ -365,10 +371,14 @@ def load_hetero_graph_csv(directory: str) -> HeteroGraph:
         header, body = _read_csv(path)
         if not body:
             raise GraphFormatError(f"{path}: no node rows (a node type needs at least one)")
-        has_label = header[-1:] == ["label"]
-        if name == target and not has_label:
+        at = [k for k, col in enumerate(header, 1) if col == "label"]
+        has_label = name == target
+        if has_label and not at:
             raise GraphFormatError(f"{path}: target-type node file must carry a label column")
-        if name != target and "label" in header:
+        if has_label and at != [len(header)]:
+            raise GraphFormatError(f"{path}: 'label' at column {at[0]} of {len(header)}; "
+                                   "the one label column must be the last")
+        if not has_label and at:
             raise GraphFormatError(f"{path}: label column on node type '{name}'; a label "
                                    f"column belongs only on the target type '{target}'")
         feat_cols = len(header) - has_label

@@ -43,16 +43,17 @@ Stage 1's filters come from a per-type spectral plan (s_high ranking, one
 profiled representative per division, the nearest Chi-Square mode), held in
 one record, `TypePlan`, whose fields are those of the plan document a
 checkpoint stores.  Fresh planning, a stored plan and a type with no valid
-meta-path (null labels, no division) all give a `TypePlan`, and
-`build_model(graph, cfg, plan)` reuses a stored one instead of ranking and
-profiling again.  A model scores only the graph it was built on, held by
-reference; no meta-path graph or its Laplacian outlives the build.
+meta-path (null labels, no division) all give a `TypePlan`; a stored one is
+replayed from its scores and band_max, not ranked and profiled again, and
+must equal the replay (`plan_type`).  A model scores only the graph it was
+built on, held by reference; no meta-path graph or its Laplacian outlives it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,7 @@ from .chifilter import PolyFilter, fit_polynomial
 from .config import RunConfig, sub_seed
 from .hin import (HeteroGraph, MetaPath, MetaPathGraph, degenerate_method1,
                   enumerate_meta_paths, laplacian, materialize_meta_path_graph)
-from .spectral import (DEGENERATE_DIVISION, DIVISIONS, SpectralProfile, assign_filter,
+from .spectral import (DEGENERATE_DIVISION, SpectralProfile, assign_filter, cut_divisions,
                        fuse_filters, profile_capped, select_representatives)
 
 
@@ -135,27 +136,62 @@ PLAN_FIELDS = {"paths": list, "labels": list, "scores": list, "representatives":
 
 def plan_type(graph: HeteroGraph, node_type: str, cfg: RunConfig,
               stored: dict | None = None) -> tuple[TypePlan, list[MetaPathGraph]]:
-    """Enumerate and materialize the meta-path graphs of one node type, then
-    rank and profile them; given a stored plan document (see `plan_document`),
-    check it against the graphs and use it instead of ranking and profiling.
-    Returns the plan and the graphs."""
+    """Enumerate and materialize the meta-path graphs of one node type, cut
+    their s_high scores into divisions (`cut_divisions`) and give each the
+    filter nearest its representative's band_max (`assign_filter`).  Fresh
+    planning measures scores and band_max by ranking and profiling; given
+    plan documents (see `plan_document`), the type's stored ones stand in and
+    every stored field must equal this replay.  Returns the plan and graphs."""
     paths = enumerate_meta_paths(graph, node_type, cfg.path_min, cfg.path_max)
     graphs = [materialize_meta_path_graph(graph, p) for p in paths]
-    if stored is not None:
-        return _restore_type_plan(node_type, paths, graphs, stored, cfg.candidates), graphs
-    X = graph.features[node_type]
+    doc = None if stored is None else stored.get(node_type)
+
+    def mismatch(key: str, why: str) -> ValueError:
+        return ValueError(f"stored filter plan, node type '{node_type}', "
+                          f"field '{key}': {why}")
+
+    def finite(v) -> bool:
+        return type(v) in (int, float) and math.isfinite(v)
+
     if all(g.is_empty for g in graphs):
+        if doc is not None:
+            raise mismatch("paths", "the graph has no valid meta-path for this type")
         return TypePlan(paths, [None] * len(paths), [None] * len(paths), {}, {}, {}), graphs
-    if not X.any():
-        raise ValueError(f"node type '{node_type}': every feature is zero, so its "
-                         "meta-path graphs cannot be ranked by s_high")
-    labels, reps, scores = select_representatives(graphs, X)
-    profiles = {d: profile_capped(graphs[r], X, cfg.bands,
-                                  seed=sub_seed(cfg.seed, f"profile:{node_type}:{d}"))
-                for d, r in reps.items()}
-    band_max = {d: p.band_max for d, p in profiles.items()}
+    profiles: dict[str, SpectralProfile] = {}
+    if stored is None:
+        X = graph.features[node_type]
+        if not X.any():
+            raise ValueError(f"node type '{node_type}': every feature is zero, so its "
+                             "meta-path graphs cannot be ranked by s_high")
+        labels, reps, scores = select_representatives(graphs, X)
+        profiles = {d: profile_capped(graphs[r], X, cfg.bands,
+                                      seed=sub_seed(cfg.seed, f"profile:{node_type}:{d}"))
+                    for d, r in reps.items()}
+        band_max = {d: p.band_max for d, p in profiles.items()}
+    else:
+        if doc is None or doc.get("paths") != [str(p) for p in paths]:
+            raise mismatch("paths", "no plan stored for a type with valid meta-paths"
+                           if doc is None else "differs from the graph's meta-paths")
+        scores = doc.get("scores")
+        if not isinstance(scores, list) or len(scores) != len(graphs) or any(
+                s is not None if g.is_empty else not finite(s) for s, g in zip(scores, graphs)):
+            raise mismatch("scores", "must be a finite number exactly on the nonempty graphs")
+        labels, reps = cut_divisions(scores)
+        band_max = doc.get("band_max")
+        if (not isinstance(band_max, dict) or set(band_max) != set(reps)
+                or not all(map(finite, band_max.values()))):
+            raise mismatch("band_max", f"must map the divisions {list(reps)} to finite numbers")
+        band_max = {d: band_max[d] for d in reps}
     assigned = {d: assign_filter(b, list(cfg.candidates)) for d, b in band_max.items()}
-    return TypePlan(paths, labels, scores, reps, band_max, assigned, profiles), graphs
+    tp = TypePlan(paths, labels, list(scores), reps, band_max, assigned, profiles)
+    if stored is not None:
+        # compared as JSON text, where true is not 1 and 1.0 is not an index
+        for key, want in plan_document({node_type: tp})[node_type].items():
+            if json.dumps(doc.get(key), sort_keys=True) != json.dumps(want, sort_keys=True):
+                by = f" and the candidates {cfg.candidates}" if key == "assigned" else ""
+                raise mismatch(key, f"{doc.get(key)!r}, but the stored scores and "
+                                    f"band_max{by} give {want!r}")
+    return tp, graphs
 
 
 def plan_document(plans: dict[str, TypePlan]) -> dict:
@@ -163,56 +199,6 @@ def plan_document(plans: dict[str, TypePlan]) -> dict:
     return {o: {key: kind(getattr(tp, key)) for key, kind in PLAN_FIELDS.items()}
             | {"paths": [str(p) for p in tp.paths]}
             for o, tp in plans.items() if tp.representatives}
-
-
-def _restore_type_plan(node_type: str, paths: list[MetaPath],
-                       graphs: list[MetaPathGraph], stored: dict,
-                       candidates: tuple[int, ...]) -> TypePlan:
-    """Rebuild a TypePlan from a plan document after checking it against the
-    meta-path graphs materialized from the graph at hand and the config's
-    candidate filters."""
-    def mismatch(key: str, why: str) -> ValueError:
-        return ValueError(f"stored filter plan, node type '{node_type}', "
-                          f"field '{key}': {why}")
-
-    doc = stored.get(node_type)
-    if all(g.is_empty for g in graphs):
-        if doc is not None:
-            raise mismatch("paths", "the graph has no valid meta-path for this type")
-        return TypePlan(paths, [None] * len(paths), [None] * len(paths), {}, {}, {})
-    if doc is None:
-        raise mismatch("paths", "no plan stored for a type with valid meta-paths")
-    for key, kind in PLAN_FIELDS.items():
-        if not isinstance(doc.get(key), kind):
-            raise mismatch(key, f"missing or not a {kind.__name__}")
-    if doc["paths"] != [str(p) for p in paths]:
-        raise mismatch("paths", "differs from the graph's meta-paths")
-    labels = doc["labels"]
-    if (len(labels) != len(graphs)
-            or any((lab is None) != g.is_empty for lab, g in zip(labels, graphs))):
-        raise mismatch("labels", "must be null exactly on the empty meta-path graphs")
-    if (len(doc["scores"]) != len(graphs)
-            or any((score is None) != (lab is None)
-                   or (lab is not None and type(score) not in (int, float))
-                   for score, lab in zip(doc["scores"], labels))):
-        raise mismatch("scores", "must be a number exactly where 'labels' is not null")
-    divisions = (DEGENERATE_DIVISION,) if doc["degenerate"] else DIVISIONS
-    if any(lab not in divisions for lab in labels if lab is not None):
-        raise mismatch("labels", f"must be among the divisions {list(divisions)}")
-    for key in ("representatives", "band_max", "assigned"):
-        if set(doc[key]) != set(divisions):
-            raise mismatch(key, f"keys must be the divisions {list(divisions)}")
-    reps, band_max, assigned = doc["representatives"], doc["band_max"], doc["assigned"]
-    for d in divisions:
-        if type(reps[d]) is not int or not 0 <= reps[d] < len(labels) or labels[reps[d]] != d:
-            raise mismatch("representatives", f"'{d}' must index a graph of that division")
-        if type(band_max[d]) not in (int, float):
-            raise mismatch("band_max", f"'{d}' must be a number")
-        if type(assigned[d]) is not int or assigned[d] not in candidates:
-            raise mismatch("assigned", f"'{d}' must be one of the candidates {candidates}")
-    return TypePlan(paths, list(labels), list(doc["scores"]), {d: reps[d] for d in divisions},
-                    {d: float(band_max[d]) for d in divisions},
-                    {d: assigned[d] for d in divisions})
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +277,8 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
     """Assemble banks, alignment, convolution, and head for one graph.
 
     Without `plan` every node type is planned from the graph (ranking and
-    spectral profiles); with a plan document, such as a checkpoint's, the
-    stored plan is checked against the graph and used as is.
+    spectral profiles); with a plan document, such as a checkpoint's, each
+    type's plan is replayed from its stored scores and band_max (`plan_type`).
     """
     cfg.validate()
     graph.validate()

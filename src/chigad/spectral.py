@@ -171,25 +171,29 @@ def profile_capped(graph: MetaPathGraph, X: np.ndarray, K: int,
 
 def select_representatives(graphs: list[MetaPathGraph], X: np.ndarray
                            ) -> tuple[list[str | None], dict[str, int], list[float | None]]:
-    """Rank nonempty graphs by graph_s_high ascending and cut them into
-    divisions: low/mid/high, or the single division `all` when fewer than 3
-    graphs are valid.
-
-    Returns (labels, representatives, scores): per input graph its division
-    and its graph_s_high, both None on an empty graph, and per division the
-    index of its representative.  Division sizes are as equal as possible
-    with remainders pushed to the later divisions; the representative is the
-    element at the lower-median rank of its division.
-    """
+    """Score each nonempty graph by graph_s_high and cut the scores into
+    divisions.  Returns (labels, representatives, scores): `cut_divisions`'
+    pair and each graph's score, None on an empty graph."""
     scores: list[float | None] = [
         None if g.is_empty else graph_s_high(g, X) for g in graphs]
+    return (*cut_divisions(scores), scores)
+
+
+def cut_divisions(scores: list[float | None]) -> tuple[list[str | None], dict[str, int]]:
+    """Rank the graphs that have a score ascending and cut them into
+    divisions: low/mid/high, or the single division `all` when fewer than 3
+    have one; fresh and stored plans both cut here.  Returns (labels,
+    representatives): per graph its division, None where its score is None,
+    and per division the index of its representative.  Division sizes are
+    as equal as possible with remainders pushed to the later divisions; the
+    representative is the element at the lower-median rank of its division."""
     order = sorted((k for k, s in enumerate(scores) if s is not None),
                    key=lambda k: (scores[k], k))
     if not order:
         raise ValueError("no nonempty meta-path graphs to rank")
     divisions = (DEGENERATE_DIVISION,) if len(order) < 3 else DIVISIONS
     base, rem = divmod(len(order), len(divisions))
-    labels: list[str | None] = [None] * len(graphs)
+    labels: list[str | None] = [None] * len(scores)
     reps: dict[str, int] = {}
     pos = 0
     for d, div in enumerate(divisions):
@@ -199,7 +203,7 @@ def select_representatives(graphs: list[MetaPathGraph], X: np.ndarray
             labels[k] = div
         reps[div] = chunk[(size - 1) // 2]
         pos += size
-    return labels, reps, scores
+    return labels, reps
 
 
 def assign_filter(band_max: float, candidates: list[int]) -> int:

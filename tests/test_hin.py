@@ -122,14 +122,15 @@ class TestStrictIngestion:
     """Each malformed value fails at load, naming its field, instead of being
     truncated, ignored, or failing later inside training."""
 
-    @pytest.mark.parametrize("edge", [[1.7, 0], [1.0, 0], ["1", 0], [None, 0], [True, 0.5]])
+    @pytest.mark.parametrize("edge", [[1.7, 0], [1.0, 0], ["1", 0], [None, 0], [True, 0.5],
+                                      [True, 0]])
     def test_non_integer_edge_id(self, edge):
         doc = paper_schema_doc()
         doc["relations"][0]["edges"].append(edge)
         with pytest.raises(GraphFormatError, match="relation compose: edges"):
             hetero_graph_from_dict(doc)
 
-    @pytest.mark.parametrize("ids", [[2.5], [1.0], ["2"], [0, None]])
+    @pytest.mark.parametrize("ids", [[2.5], [1.0], ["2"], [0, None], [True, 2]])
     def test_non_integer_split_id(self, ids):
         doc = paper_schema_doc()
         doc["splits"]["test"] = ids
@@ -157,7 +158,7 @@ class TestStrictIngestion:
         with pytest.raises(GraphFormatError, match="node type P: features contain NaN or inf"):
             hetero_graph_from_dict(doc)
 
-    @pytest.mark.parametrize("row", [["x", 0], [1, None], [1], [1, [0]]])
+    @pytest.mark.parametrize("row", [["x", 0], [1, None], [1], [1, [0]], [True, 0]])
     def test_feature_row_not_numbers(self, row):
         doc = paper_schema_doc()
         doc["node_types"][0]["features"][1] = row
@@ -338,6 +339,10 @@ class TestCsvLoading:
         ("nodes_A.csv", "f0,label\n", "nodes_A.csv: no node rows"),
         ("nodes_A.csv", "f0\n1\n2\n3\n",
          "nodes_A.csv: target-type node file must carry a label column"),
+        ("nodes_A.csv", "label,f0\n0,1\n,2\n1,3\n", "nodes_A.csv: 'label' at column 1 of 2"),
+        # the first label column would load as a feature column
+        ("nodes_A.csv", "f0,label,label\n1,0,0\n2,1,1\n3,1,1\n",
+         "nodes_A.csv: 'label' at column 2 of 3"),
         # a cell beyond the file's fields would be dropped
         ("nodes_A.csv", "f0,label\n1.0,0,4.0\n2,\n3,1\n", "nodes_A.csv: row 2: 3 cells"),
         ("edges_aa.csv", "u,v\n0,1\n1,1,9\n", "edges_aa.csv: row 3: 3 cells"),
@@ -345,7 +350,8 @@ class TestCsvLoading:
     ], ids=["feature", "label", "edge", "split-id", "relation-dst", "split-cell",
             "splits-blank-line", "nodes-blank-line", "label-cell", "edge-cell",
             "split-name", "meta-node-types", "empty-file", "no-node-rows",
-            "no-label-column", "node-extra-cell", "edge-extra-cell", "split-extra-cell"])
+            "no-label-column", "label-first", "label-twice", "node-extra-cell",
+            "edge-extra-cell", "split-extra-cell"])
     def test_malformed_cell_names_file_and_field(self, tmp_path, name, text, where):
         directory = self.write_one_type(tmp_path, **{name: text})
         with pytest.raises(GraphFormatError, match=re.escape(where)):

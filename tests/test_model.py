@@ -591,6 +591,57 @@ class TestCheckpoint:
                 f"stored filter plan, node type '{node_type}', field '{key}'")):
             build_model(g, cfg, plan=checkpoint_plan(str(path)))
 
+    @pytest.mark.parametrize("node_type, key", [
+        ("b", "scores"), ("c", "band_max")], ids=["score-nan", "band-max-nan"])
+    def test_non_finite_stored_number(self, node_type, key):
+        # NaN passes a kind check, then sorts and assigns arbitrarily
+        g, cfg, model = small_model()
+        stored = plan_document(model.plans)
+        field = stored[node_type][key]
+        if key == "scores":
+            field[0] = float("nan")
+        else:
+            field.update({d: float("nan") for d in field})
+        with pytest.raises(ValueError, match=re.escape(
+                f"stored filter plan, node type '{node_type}', field '{key}'")):
+            build_model(g, cfg, plan=stored)
+
+    def test_assigned_must_be_the_nearest_candidate(self):
+        # 2 is a candidate, but b's band_max (about 0) lies nearest mode 0 of i = 1
+        g, cfg, model = small_model()
+        stored = plan_document(model.plans)
+        assert stored["b"]["assigned"] == {"all": 1}
+        stored["b"]["assigned"] = {"all": 2}
+        with pytest.raises(ValueError, match=re.escape(
+                "node type 'b', field 'assigned'") + r".*candidates \(1, 2, 3\)"):
+            build_model(g, cfg, plan=stored)
+
+    def test_labels_must_be_the_cut_of_the_scores(self):
+        # low and high swapped in both labels and representatives: consistent
+        # with each other, but a's tied scores rank by index, low first
+        g, cfg, model = small_model()
+        stored = plan_document(model.plans)
+        doc = stored["a"]
+        swap = {"low": "high", "high": "low", "mid": "mid"}
+        doc["labels"] = [swap[lab] for lab in doc["labels"]]
+        doc["representatives"] = {swap[d]: r for d, r in doc["representatives"].items()}
+        assert all(doc["labels"][r] == d for d, r in doc["representatives"].items())
+        with pytest.raises(ValueError, match=re.escape("node type 'a', field 'labels'")):
+            build_model(g, cfg, plan=stored)
+
+    @pytest.mark.parametrize("key, value", [
+        ("degenerate", 1), ("assigned", {"all": True}), ("representatives", {"all": 1.0})],
+        ids=["degenerate-int", "assigned-bool", "rep-float"])
+    def test_stored_field_of_another_kind(self, key, value):
+        # equal to the replay in Python (True == 1 == 1.0), but not the planner's kind
+        g, cfg, model = small_model()
+        stored = plan_document(model.plans)
+        assert stored["b"]["degenerate"] is True
+        assert stored["b"]["assigned"] == stored["b"]["representatives"] == {"all": 1}
+        stored["b"][key] = value
+        with pytest.raises(ValueError, match=re.escape(f"node type 'b', field '{key}'")):
+            build_model(g, cfg, plan=stored)
+
     def test_layout_mismatch(self, tmp_path):
         g, cfg, model = small_model()
         path = tmp_path / "m.ckpt"
