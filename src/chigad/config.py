@@ -134,9 +134,9 @@ _KEYS.update({f"synth_{f.name}": ("synth", f.name) for f in fields(SyntheticSpec
 
 def _parse_value(value: str, current):
     """value read as the type of the field's current value; a tuple is
-    comma-separated ints."""
+    comma-separated ints, none of them empty."""
     if isinstance(current, tuple):
-        return tuple(int(v) for v in value.split(",") if v.strip())
+        return tuple(int(v) for v in value.split(","))
     return type(current)(value)
 
 

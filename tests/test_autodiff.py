@@ -1,4 +1,6 @@
 import gc
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -408,9 +410,9 @@ class TestTapeDiscipline:
         assert np.array_equal(g1, g2)
 
 
-def symmetric_operator(n, seed=0):
+def symmetric_operator(n, seed=0, density=0.05):
     rng = np.random.default_rng(seed)
-    a = sp.random(n, n, density=0.05, random_state=seed, format="csr")
+    a = sp.random(n, n, density=density, random_state=seed, format="csr")
     a.data = rng.standard_normal(a.nnz)
     return sp.csr_matrix(a + a.T)
 
@@ -494,44 +496,111 @@ class TestInPlaceKernels:
 
 
 class TestSplit:
-    """From SPLIT_MIN entries on, clenshaw cuts its input into WORKERS column
-    parts and csr_product its result into WORKERS row ranges, which run at
-    once; every entry is computed as in one call, so the result is the same
-    bit for bit."""
+    """From SPLIT_MIN entries on, clenshaw and csr_product cut the rows into
+    WORKERS contiguous ranges of about equal work, which run at once, once
+    per degree in clenshaw; every row is computed as in one call, so the
+    result is the same bit for bit."""
 
     @staticmethod
-    def signal(width):
-        # a strided view, as the split reads x: one column, or a column slice
-        wide = np.random.default_rng(13).standard_normal((50, 40))
+    def operator(rows, seed):
+        # a 2-row operator is filled, so that it is not zero
+        return symmetric_operator(rows, seed, density=1.0 if rows == 2 else 0.05)
+
+    @staticmethod
+    def signal(rows, width):
+        # a strided view, as a caller may pass: one column, or a column slice
+        wide = np.random.default_rng(13).standard_normal((rows, 40))
         return wide[:, 5] if width is None else wide[:, 3:3 + width]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("width", [None, 1, 7, 33])
     @pytest.mark.parametrize("terms", [1, 8, 9])
-    def test_clenshaw_split_is_one_call(self, monkeypatch, workers, width, terms):
-        # 8 and 9 terms leave the result in either of the two swapped buffers
-        M = symmetric_operator(50, seed=11)
+    def test_clenshaw_split_is_one_call(self, monkeypatch, workers, width, terms, rows=50):
+        # 8 and 9 terms end in different buffers
+        M = self.operator(rows, seed=11)
         cheb = np.random.default_rng(12).standard_normal(terms)
-        x = self.signal(width)
+        x = self.signal(rows, width)
         monkeypatch.setattr(ad, "SPLIT_MIN", 10**18)
         want = clenshaw(cheb, M, x)
         monkeypatch.setattr(ad, "SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "WORKERS", workers)
-        assert len(ad._parts(width or 1, x.size)) == min(workers, width or 1)
+        assert len(ad._parts(M, x.size)) == min(workers, rows)
         got = clenshaw(cheb, M, x)
         assert got.shape == x.shape and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("width", [None, 1, 7, 33])
-    def test_csr_product_split_is_matmul(self, monkeypatch, workers, width):
-        M = symmetric_operator(50, seed=14)
-        x = self.signal(width)
+    def test_csr_product_split_is_matmul(self, monkeypatch, workers, width, rows=50):
+        # one range is scipy's kernel on a zeroed result, as M @ x runs it
+        M = self.operator(rows, seed=14)
+        x = self.signal(rows, width)
         monkeypatch.setattr(ad, "SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "WORKERS", workers)
         got = csr_product(M, x)
         assert got.shape == x.shape
         assert np.array_equal(got, M @ x)
+
+    @pytest.mark.parametrize("width", [None, 1, 7, 33])
+    @pytest.mark.parametrize("terms", [1, 8, 9])
+    def test_fewer_rows_than_workers(self, monkeypatch, width, terms):
+        # 2 rows at 3 workers: two ranges of one row each
+        self.test_clenshaw_split_is_one_call(monkeypatch, 3, width, terms, rows=2)
+        self.test_csr_product_split_is_matmul(monkeypatch, 3, width, rows=2)
+
+    def test_split_allocates_three_buffers(self, monkeypatch):
+        # x is read where it lies, strided, and never written; the split
+        # allocates nothing of x's size but the three buffers of one call
+        M = symmetric_operator(1000, seed=16)
+        x = np.random.default_rng(17).standard_normal((1000, 64))[:, ::2]
+        before = x.copy()
+        cheb = np.random.default_rng(18).standard_normal(9)
+        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "WORKERS", 2)
+        clenshaw(cheb, M, x)        # makes the pool outside the trace
+        tracemalloc.start()
+        try:
+            clenshaw(cheb, M, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, before)
+        assert peak <= 3 * x.nbytes + 64 * 1024
+
+    def test_run_parts_waits_for_every_range(self, monkeypatch):
+        # one pool range of three fails at once while another still runs:
+        # the error leaves only after that range is done, and an error in
+        # the calling thread's range wins over a pool range's
+        monkeypatch.setattr(ad, "WORKERS", 3)
+        done = []
+
+        def fn(lo, hi):
+            if lo == 1:
+                raise RuntimeError("pool range")
+            if lo == 2:
+                time.sleep(0.2)
+                done.append(lo)
+            elif fn.first_fails:
+                raise ValueError("first range")
+
+        for fn.first_fails, error in ((False, RuntimeError), (True, ValueError)):
+            done.clear()
+            with pytest.raises(error):
+                ad._run_parts(fn, [(0, 1), (1, 2), (2, 3)])
+            assert done == [2]
+
+    def test_cut_balances_work(self, monkeypatch):
+        # a row costs one unit plus one per stored entry: with one entry in
+        # each of the first 50 rows and ten in each of the last 50, the two
+        # ranges meet at row 71 (cost 331 of 650), not at row 50
+        counts = np.repeat([1, 10], 50)
+        indptr = np.r_[0, np.cumsum(counts)]
+        indices = np.concatenate([np.arange(c) for c in counts])
+        M = sp.csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=(100, 100))
+        monkeypatch.setattr(ad, "WORKERS", 2)
+        monkeypatch.setattr(ad, "SPLIT_MIN", 100)
+        assert ad._parts(M, 100) == [(0, 71), (71, 100)]
+        assert ad._parts(M, 99) == [(0, 100)]
 
     def test_split_refuses_misfit_rows(self, monkeypatch):
         monkeypatch.setattr(ad, "SPLIT_MIN", 0)

@@ -108,6 +108,11 @@ class TestParsing:
     def test_bad_value(self):
         with pytest.raises(ValueError, match="line 1: bad value for 'bands'"):
             parse_config("bands = three")
+        # an empty item is refused, not dropped: 40,,10,10 must not read as 3 types
+        with pytest.raises(ValueError, match="line 2: bad value for 'synth_sizes'"):
+            parse_config("epochs = 5\nsynth_sizes = 40,,10,10")
+        with pytest.raises(ValueError, match="line 1: bad value for 'candidates'"):
+            parse_config("candidates = 1, 3,")
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="expected key = value"):
@@ -567,7 +572,7 @@ class TestCliImport:
 
 
 class TestWorkerPool:
-    """The column split's pool is made at the first split, and its idle
+    """The split's pool is made at the first split, and its idle
     workers never keep a finished process alive."""
 
     def test_import_and_c7_train_start_no_thread(self):
@@ -586,9 +591,9 @@ class TestWorkerPool:
         assert run_python(code, timeout=120).stdout.strip() == "[1, 1]"
 
     def test_cli_train_above_split_exits(self, tmp_path):
-        # c7's hyper-parameters on 3000/750/750 nodes: the conv input, 4500 x
-        # 32, is split; the command exits once done, workers and all
-        sizes = (3000, 750, 750)
+        # c7's hyper-parameters on 8000/2000/2000 nodes: the conv input,
+        # 12000 x 32, is split; the command exits once done, workers and all
+        sizes = (8000, 2000, 2000)
         assert sum(sizes) * 32 >= autodiff.SPLIT_MIN
         synth = write_cfg(tmp_path / "s.cfg", [f"synth_sizes = {', '.join(map(str, sizes))}",
                                               "synth_feature_dims = 4, 8, 6"])

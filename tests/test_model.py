@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import re
@@ -715,15 +716,15 @@ def c7_graph():
 
 
 class CountingSparsetools:
-    """Stand-in for the scipy kernel module clenshaw calls: counts its
-    products with the CSR matrix and runs them."""
+    """Stand-in for the scipy kernel module that clenshaw and csr_product
+    call: counts its products by the CSR matrix's column count and runs them."""
 
-    def __init__(self, counter: list[int]):
+    def __init__(self, counter: collections.Counter):
         self.counter = counter
 
-    def csr_matvecs(self, *args):
-        self.counter[0] += 1
-        _sparsetools.csr_matvecs(*args)
+    def csr_matvecs(self, n_row, n_col, *args):
+        self.counter[n_col] += 1
+        _sparsetools.csr_matvecs(n_row, n_col, *args)
 
 
 class TestBenchGraph:
@@ -740,18 +741,20 @@ class TestBenchGraph:
 
     def test_epoch_matvec_counts(self, c7_graph, monkeypatch):
         # one training epoch: the banks weigh cached powers (they hold no
-        # operator to multiply by) and the convolution is one cut Chebyshev
+        # operator to multiply by), the convolution is one cut Chebyshev
         # series, applied forward and to the gradient, one product with
-        # 2(S - I) per degree
+        # 2(S - I) per degree; the contributions' one product with L, a
+        # matrix of another size, is counted apart
         graph, cfg = c7_graph
         model = build_model(graph, cfg)
         assert not any(sp.issparse(v) for bank in model.banks.values()
                        for e in bank.entries for v in vars(e).values())
-        conv_calls = [0]
-        monkeypatch.setattr(ad, "_sparsetools", CountingSparsetools(conv_calls))
+        products = collections.Counter()
+        monkeypatch.setattr(ad, "_sparsetools", CountingSparsetools(products))
         train(model, cfg)
         cut_degree = len(model.conv.cheb) - 1
-        assert conv_calls[0] == 2 * cut_degree == 28
+        assert products.pop(model.conv.matrix.shape[1]) == 2 * cut_degree == 28
+        assert list(products.values()) == [1]
         # the c7 series' tail is already below the cut: nothing drops
         assert len(summed_coeffs(model.conv.filters)) == len(model.conv.cheb)
 

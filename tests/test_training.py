@@ -63,9 +63,9 @@ class TestContributions:
             node_contributions(np.ones((3, 1)), edge_laplacian())
 
     def test_split_product_matches_plain_product(self, monkeypatch):
-        # 4000 x 32 is above the split: L @ Xp runs in two column parts, and
+        # 4000 x 96 is above the split: L @ Xp runs in two row ranges, and
         # the contributions are those of the plain product bit for bit
-        n, width = 4000, 32
+        n, width = 4000, 96
         a = sp.random(n, n, density=0.001, random_state=21, format="csr")
         L = laplacian(a + a.T)
         Xp = np.random.default_rng(22).standard_normal((n, width))
