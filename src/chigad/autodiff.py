@@ -26,23 +26,11 @@ Gradients accumulate in place: a node's first gradient is stored as a copy
 of the incoming one, and later ones are added into it.  cheb_apply's
 recurrence allocates nothing per degree: it makes three buffers of the
 input's size, and each sparse product is added straight into one of them
-with scipy's CSR kernel, so its operator is a float64 CSR matrix.  Both
-clenshaw and csr_product, the training loop's product with the Laplacian,
-run over the row ranges of _parts: one range below SPLIT_MIN entries, else
-one contiguous range of about equal work per CPU this process may run on
-(WORKERS), run at once, the first in the calling thread and the others on a
-pool made at the first split; the kernel and numpy's elementwise passes
-release the GIL.  A row of M y reads only its own row of M, and the
-recurrence's elementwise passes never mix rows, so a row is computed by the
-same operations in the same order whatever its range: a split result is the
-one-range result bit for bit, and whether to split depends on shapes alone.
+with scipy's CSR kernel, so its operator is a float64 CSR matrix.  It runs
+over all rows in the calling thread.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -275,99 +263,6 @@ def _dw(cvals, w: float, powers, g) -> float:
     return dw
 
 
-# entries (rows * width) of the input from which clenshaw and csr_product
-# cut their rows over WORKERS threads.  A split recurrence waits for every
-# range once per degree.  On a shared 2-vCPU host, the benchmark's epoch_ms
-# with every input split against none (alternating pairs) read the split
-# slower on c7's setup at every size up to 288,000 conv input entries: +37%
-# at c7's own 600 x 32 = 19,200, +3-8% from 48,000 on.  From 300,000 on it
-# read -5% and +0.5% in two rounds on the defaults' 600 x 512 = 307,200, +1%
-# on c7's setup at 336,000, and from -14% (10 of 10 pairs lower) to +6% in
-# five rounds on plan-large's 12,000 x 32 = 384,000, -3% in the median
-# round: a gain there rests on the load of the host.  Shapes alone decide,
-# so a run computes the same bits on any host
-SPLIT_MIN = 300_000
-# threads a split runs on: the calling thread and WORKERS - 1 pool workers,
-# made at the first split.  With one CPU nothing splits and no pool is made
-WORKERS = len(os.sched_getaffinity(0))
-_pool: ThreadPoolExecutor | None = None
-
-
-def _check_csr(M, x: np.ndarray) -> None:
-    if getattr(M, "format", None) != "csr" or M.dtype != np.float64:
-        raise ValueError(f"operator must be a float64 CSR matrix, got {type(M).__name__}"
-                         f" of {getattr(M, 'dtype', None)}")
-    if x.shape[0] != M.shape[1]:
-        raise ValueError(f"operator {M.shape} does not fit signal rows {x.shape[0]}")
-
-
-def _parts(M, entries: int) -> list[tuple[int, int]]:
-    """M's rows cut into one contiguous (lo, hi) range per worker once an
-    input of `entries` entries reaches SPLIT_MIN, else the one range of them
-    all.  A row costs one unit plus one per stored entry (its elementwise
-    passes and its kernel products), and the cuts split that cost evenly."""
-    rows = M.shape[0]
-    count = min(WORKERS, rows) if entries >= SPLIT_MIN else 1
-    if count == 1:
-        return [(0, rows)]
-    cost = M.indptr + np.arange(rows + 1)
-    cuts = np.searchsorted(cost, cost[-1] * np.arange(count + 1) // count).tolist()
-    cuts[0], cuts[-1] = 0, rows
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _run_parts(fn, ranges: list[tuple[int, int]]) -> None:
-    """fn(lo, hi) for every range at once: the first in the calling thread,
-    the others on the pool, made at the first call with more than one.  It
-    returns, or raises, only once every range is done: the first range's
-    error if it has one, else the first failed pool range's.  One range runs
-    inline, with no pool and no future."""
-    if len(ranges) == 1:
-        return fn(*ranges[0])
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="chigad")
-    futures = [_pool.submit(fn, *r) for r in ranges[1:]]
-    try:
-        fn(*ranges[0])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
-
-
-def _add_product(M, src: np.ndarray, dst: np.ndarray, lo: int, hi: int) -> None:
-    """dst[lo:hi] += (M src)[lo:hi] in place, for C-contiguous src and dst:
-    scipy's CSR kernel on rows lo:hi of M, read where they lie."""
-    width = src.shape[1] if src.ndim == 2 else 1
-    _sparsetools.csr_matvecs(hi - lo, M.shape[1], width, M.indptr[lo:hi + 1], M.indices,
-                             M.data, src.ravel(), dst[lo:hi].ravel())
-
-
-def csr_product(M, x: np.ndarray) -> np.ndarray:
-    """M @ x for a float64 CSR matrix M, bit for bit.  scipy's kernel adds
-    each row's products into a zeroed result in the order M @ x does; from
-    SPLIT_MIN entries on, the rows are cut into one contiguous range of about
-    equal work per worker, filled at once.  A row of M x reads only its own
-    row of M, so the ranges share x uncopied and write disjoint rows of one
-    result."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    _check_csr(M, x)
-    out = np.zeros((M.shape[0],) + x.shape[1:])
-    _run_parts(partial(_add_product, M, x, out), _parts(M, x.size))
-    return out
-
-
-def _step(ak: float, M, x: np.ndarray, src: np.ndarray, dst: np.ndarray,
-          scratch: np.ndarray, lo: int, hi: int) -> None:
-    """dst = ak x - dst + M src on rows lo:hi, in place: two elementwise
-    passes and the CSR kernel, which adds into dst."""
-    rows, tmp = dst[lo:hi], scratch[lo:hi]
-    np.multiply(x[lo:hi], ak, out=tmp)
-    np.subtract(tmp, rows, out=rows)
-    _add_product(M, src, dst, lo, hi)
-
-
 def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
     """sum_k a_k T_k(M/2) x by Clenshaw's recurrence, with one product with M
     per degree; M must be a float64 CSR matrix.
@@ -378,23 +273,26 @@ def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
     returned.  Per degree the recurrence makes two elementwise passes into
     them and adds M b_(k+1) straight into the buffer that holds
     a_k x - b_(k+2) with scipy's CSR kernel.  x is read where it lies, never
-    copied or written.  Each degree's step runs over the row ranges of
-    _parts, as csr_product's do: from SPLIT_MIN entries on, one range per
-    worker, all at once, and the next degree starts when every range is
-    done, since its product reads all of b_(k+1).  A row is computed by the
-    same operations in the same order whatever its range, so the split
-    result equals the one-range result bit for bit.
+    copied or written.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_csr(M, x)
+    if getattr(M, "format", None) != "csr" or M.dtype != np.float64:
+        raise ValueError(f"operator must be a float64 CSR matrix, got {type(M).__name__}"
+                         f" of {getattr(M, 'dtype', None)}")
+    if x.shape[0] != M.shape[1]:
+        raise ValueError(f"operator {M.shape} does not fit signal rows {x.shape[0]}")
     a = np.asarray(cheb, dtype=np.float64)
     b1, b2, scratch = np.empty(x.shape), np.zeros(x.shape), np.empty(x.shape)
     np.multiply(x, a[-1], out=b1)
-    ranges = _parts(M, x.size)
+    width = x.shape[1] if x.ndim == 2 else 1
     for k in range(len(a) - 2, -1, -1):
         if k == 0:
             b1 *= 0.5
-        _run_parts(partial(_step, a[k], M, x, b1, b2, scratch), ranges)
+        # b2 = a_k x - b2 + M b1, in place
+        np.multiply(x, a[k], out=scratch)
+        np.subtract(scratch, b2, out=b2)
+        _sparsetools.csr_matvecs(M.shape[0], M.shape[1], width, M.indptr, M.indices,
+                                 M.data, b1.ravel(), b2.ravel())
         b1, b2 = b2, b1
     return b1
 

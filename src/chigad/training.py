@@ -51,7 +51,7 @@ class ContributionVector:
 
 def node_contributions(Xp: np.ndarray, L, restrict: np.ndarray | None = None) -> ContributionVector:
     """c_i = sum_j x'_{j,i} (L x'_j)_i / (x'_j^T L x'_j) over usable dimensions j,
-    for a float64 CSR Laplacian L.
+    for a sparse Laplacian L.
 
     A dimension whose Rayleigh denominator falls below 1e-12 is skipped rather
     than regularized (a constant column would otherwise fabricate
@@ -63,7 +63,7 @@ def node_contributions(Xp: np.ndarray, L, restrict: np.ndarray | None = None) ->
         Xp = Xp[:, None]
     if Xp.shape[0] != L.shape[0]:
         raise ValueError("representation rows do not match the operator dimension")
-    LX = ad.csr_product(L, Xp)
+    LX = L @ Xp
     denoms = (Xp * LX).sum(axis=0)
     used = [j for j in range(Xp.shape[1]) if denoms[j] >= DENOM_FLOOR]
     if not used:

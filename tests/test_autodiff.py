@@ -1,5 +1,4 @@
 import gc
-import time
 import tracemalloc
 import weakref
 
@@ -8,18 +7,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from chigad import autodiff as ad
 from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
                              add_bias, basis_combine, cheb_apply, clenshaw,
-                             csr_product, elementwise_mul, matmul, monomial_powers,
-                             node_sum, row_slice, scale, sparse_poly_apply, vstack,
+                             elementwise_mul, matmul, monomial_powers, node_sum,
+                             row_slice, scale, sparse_poly_apply, vstack,
                              weighted_softmax_ce)
-from chigad.config import sub_seed
-from chigad.model import build_model, forward_pass
-from chigad.synthetic import generate_synthetic_hin
 from oracles import (activation_grad_with_mask, dense_poly_apply, fd_gradient,
                      grad_mismatch)
-from test_acceptance import BENCH_SPEC, bench_config
 
 FD_TOL = 1e-6
 
@@ -437,23 +431,53 @@ class TestInPlaceKernels:
         assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(b, b_before)
 
-    @pytest.mark.parametrize("layout", ["fortran", "column_slice"])
-    def test_clenshaw_any_layout(self, layout):
+    @pytest.mark.parametrize("layout, terms", [
+        pytest.param("fortran", 7, id="fortran"),
+        pytest.param("column_slice", 7, id="column_slice"),
+        pytest.param("column", 7, id="column"),
+        # 8 and 9 terms end in different buffers
+        pytest.param("column_slice", 1, id="terms_1"),
+        pytest.param("column_slice", 8, id="terms_8"),
+        pytest.param("column_slice", 9, id="terms_9"),
+    ])
+    def test_clenshaw_any_layout(self, layout, terms):
         n = 40
         M = symmetric_operator(n, seed=3)
-        cheb = np.random.default_rng(4).standard_normal(7)
+        cheb = np.random.default_rng(4).standard_normal(terms)
         wide = np.random.default_rng(5).standard_normal((n, 9))
-        x = np.asfortranarray(wide) if layout == "fortran" else wide[:, 2:7]
+        x = {"fortran": np.asfortranarray(wide), "column_slice": wide[:, 2:7],
+             "column": wide[:, 2]}[layout]
         assert not x.flags.c_contiguous
         got = clenshaw(cheb, M, x)
+        assert got.shape == x.shape and got.flags.c_contiguous
         assert np.array_equal(got, clenshaw(cheb, M, np.ascontiguousarray(x)))
         # the same series by the textbook three-term recurrence
-        t_prev, t_cur = x, 0.5 * (M @ x)
-        want = cheb[0] * t_prev + cheb[1] * t_cur
-        for ak in cheb[2:]:
-            t_prev, t_cur = t_cur, M @ t_cur - t_prev
-            want = want + ak * t_cur
+        t = [x, 0.5 * (M @ x)]
+        while len(t) < terms:
+            t.append(M @ t[-1] - t[-2])
+        want = sum(ak * tk for ak, tk in zip(cheb, t))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_clenshaw_allocates_three_buffers(self):
+        # x is read where it lies, strided, and never written; nothing of
+        # x's size is allocated but the three buffers
+        M = symmetric_operator(1000, seed=16)
+        x = np.random.default_rng(17).standard_normal((1000, 64))[:, ::2]
+        before = x.copy()
+        cheb = np.random.default_rng(18).standard_normal(9)
+        tracemalloc.start()
+        try:
+            clenshaw(cheb, M, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, before)
+        assert peak <= 3 * x.nbytes + 64 * 1024
+
+    def test_clenshaw_refuses_misfit_rows(self):
+        M = symmetric_operator(20, seed=15)
+        with pytest.raises(ValueError, match="does not fit signal rows 21"):
+            clenshaw(np.ones(3), M, np.ones((21, 4)))
 
     @pytest.mark.parametrize("form", ["float32_csr", "csc", "dense"])
     def test_clenshaw_refuses_other_operators(self, form):
@@ -494,128 +518,3 @@ class TestInPlaceKernels:
         a.grad += 1.0
         assert b.grad.tolist() == [[1.0, 1.0]] * 3
 
-
-class TestSplit:
-    """From SPLIT_MIN entries on, clenshaw and csr_product cut the rows into
-    WORKERS contiguous ranges of about equal work, which run at once, once
-    per degree in clenshaw; every row is computed as in one call, so the
-    result is the same bit for bit."""
-
-    @staticmethod
-    def operator(rows, seed):
-        # a 2-row operator is filled, so that it is not zero
-        return symmetric_operator(rows, seed, density=1.0 if rows == 2 else 0.05)
-
-    @staticmethod
-    def signal(rows, width):
-        # a strided view, as a caller may pass: one column, or a column slice
-        wide = np.random.default_rng(13).standard_normal((rows, 40))
-        return wide[:, 5] if width is None else wide[:, 3:3 + width]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("width", [None, 1, 7, 33])
-    @pytest.mark.parametrize("terms", [1, 8, 9])
-    def test_clenshaw_split_is_one_call(self, monkeypatch, workers, width, terms, rows=50):
-        # 8 and 9 terms end in different buffers
-        M = self.operator(rows, seed=11)
-        cheb = np.random.default_rng(12).standard_normal(terms)
-        x = self.signal(rows, width)
-        monkeypatch.setattr(ad, "SPLIT_MIN", 10**18)
-        want = clenshaw(cheb, M, x)
-        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
-        monkeypatch.setattr(ad, "WORKERS", workers)
-        assert len(ad._parts(M, x.size)) == min(workers, rows)
-        got = clenshaw(cheb, M, x)
-        assert got.shape == x.shape and got.flags.c_contiguous
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("width", [None, 1, 7, 33])
-    def test_csr_product_split_is_matmul(self, monkeypatch, workers, width, rows=50):
-        # one range is scipy's kernel on a zeroed result, as M @ x runs it
-        M = self.operator(rows, seed=14)
-        x = self.signal(rows, width)
-        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
-        monkeypatch.setattr(ad, "WORKERS", workers)
-        got = csr_product(M, x)
-        assert got.shape == x.shape
-        assert np.array_equal(got, M @ x)
-
-    @pytest.mark.parametrize("width", [None, 1, 7, 33])
-    @pytest.mark.parametrize("terms", [1, 8, 9])
-    def test_fewer_rows_than_workers(self, monkeypatch, width, terms):
-        # 2 rows at 3 workers: two ranges of one row each
-        self.test_clenshaw_split_is_one_call(monkeypatch, 3, width, terms, rows=2)
-        self.test_csr_product_split_is_matmul(monkeypatch, 3, width, rows=2)
-
-    def test_split_allocates_three_buffers(self, monkeypatch):
-        # x is read where it lies, strided, and never written; the split
-        # allocates nothing of x's size but the three buffers of one call
-        M = symmetric_operator(1000, seed=16)
-        x = np.random.default_rng(17).standard_normal((1000, 64))[:, ::2]
-        before = x.copy()
-        cheb = np.random.default_rng(18).standard_normal(9)
-        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
-        monkeypatch.setattr(ad, "WORKERS", 2)
-        clenshaw(cheb, M, x)        # makes the pool outside the trace
-        tracemalloc.start()
-        try:
-            clenshaw(cheb, M, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(x, before)
-        assert peak <= 3 * x.nbytes + 64 * 1024
-
-    def test_run_parts_waits_for_every_range(self, monkeypatch):
-        # one pool range of three fails at once while another still runs:
-        # the error leaves only after that range is done, and an error in
-        # the calling thread's range wins over a pool range's
-        monkeypatch.setattr(ad, "WORKERS", 3)
-        done = []
-
-        def fn(lo, hi):
-            if lo == 1:
-                raise RuntimeError("pool range")
-            if lo == 2:
-                time.sleep(0.2)
-                done.append(lo)
-            elif fn.first_fails:
-                raise ValueError("first range")
-
-        for fn.first_fails, error in ((False, RuntimeError), (True, ValueError)):
-            done.clear()
-            with pytest.raises(error):
-                ad._run_parts(fn, [(0, 1), (1, 2), (2, 3)])
-            assert done == [2]
-
-    def test_cut_balances_work(self, monkeypatch):
-        # a row costs one unit plus one per stored entry: with one entry in
-        # each of the first 50 rows and ten in each of the last 50, the two
-        # ranges meet at row 71 (cost 331 of 650), not at row 50
-        counts = np.repeat([1, 10], 50)
-        indptr = np.r_[0, np.cumsum(counts)]
-        indices = np.concatenate([np.arange(c) for c in counts])
-        M = sp.csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=(100, 100))
-        monkeypatch.setattr(ad, "WORKERS", 2)
-        monkeypatch.setattr(ad, "SPLIT_MIN", 100)
-        assert ad._parts(M, 100) == [(0, 71), (71, 100)]
-        assert ad._parts(M, 99) == [(0, 100)]
-
-    def test_split_refuses_misfit_rows(self, monkeypatch):
-        monkeypatch.setattr(ad, "SPLIT_MIN", 0)
-        M = symmetric_operator(20, seed=15)
-        x = np.ones((21, 4))
-        for run in (lambda: clenshaw(np.ones(3), M, x), lambda: csr_product(M, x)):
-            with pytest.raises(ValueError, match="does not fit signal rows 21"):
-                run()
-
-    def test_c7_stays_on_one_call(self):
-        # c7's conv input (600 x 32) and its contributions' representation
-        # (400 x 32) sit below the split, where two threads lose
-        cfg = bench_config(0)
-        graph = generate_synthetic_hin(BENCH_SPEC, sub_seed(0, "synth"))
-        fp = forward_pass(build_model(graph, cfg), record=False)
-        assert fp.conv_input.value.shape == (600, 32)
-        assert fp.rep.value.shape == (400, 32)
-        assert 600 * 32 < ad.SPLIT_MIN <= 12_000 * 32

@@ -62,22 +62,6 @@ class TestContributions:
         with pytest.raises(ValueError, match="rows"):
             node_contributions(np.ones((3, 1)), edge_laplacian())
 
-    def test_split_product_matches_plain_product(self, monkeypatch):
-        # 4000 x 96 is above the split: L @ Xp runs in two row ranges, and
-        # the contributions are those of the plain product bit for bit
-        n, width = 4000, 96
-        a = sp.random(n, n, density=0.001, random_state=21, format="csr")
-        L = laplacian(a + a.T)
-        Xp = np.random.default_rng(22).standard_normal((n, width))
-        monkeypatch.setattr(ad, "WORKERS", 2)
-        assert n * width >= ad.SPLIT_MIN
-        assert np.array_equal(ad.csr_product(L, Xp), L @ Xp)
-        got = node_contributions(Xp, L)
-        monkeypatch.setattr(ad, "SPLIT_MIN", 10**18)
-        want = node_contributions(Xp, L)
-        assert np.array_equal(got.values, want.values)
-        assert (got.used_dims, got.c_min, got.c_max) == (want.used_dims, want.c_min, want.c_max)
-
 
 class TestCcWeights:
     def cc(self, h=2.2, l=1.9):
