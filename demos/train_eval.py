@@ -35,7 +35,7 @@ def lowpass_ablation(model):
     for bank in model.banks.values():
         for e in bank.entries:
             e.poly = lowpass
-    model.conv = MetaGraphConvLayer(model.conv.operator, [lowpass], model.conv.rows,
+    model.conv = MetaGraphConvLayer(model.conv.adjacency, [lowpass], model.conv.rows,
                                     model.conv.width)
     return model
 

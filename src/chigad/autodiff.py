@@ -1,33 +1,24 @@
 """Minimal reverse-mode automatic differentiation over dense arrays.
 
-Just enough machinery to train the model: a Tape records Nodes in creation
-order (which is automatically a topological order), and backward() walks the
-list in exact reverse, accumulating gradients additively across fan-out.
-Learnable tensors are dense; sparse graph operators enter only as fixed
-constants inside sparse_poly_apply and cheb_apply, or already applied: as the
-precomputed powers that basis_combine weighs, or as a fixed dense block of a
-polynomial of one, which dense_apply multiplies.  The model's meta-graph
-convolution takes dense_apply when its target block p(S)[lo:hi] is no larger
-than the conv input and cheap next to the recurrence, and cheb_apply followed
-by row_slice otherwise (see model.MetaGraphConvLayer).  One tape serves one
-forward/backward pass; a finished tape refuses a second backward and has
-released every backward closure, so the arrays they captured are freed with
-the last reference.  Its nodes also drop their reference back to it, which
-breaks the tape <-> node cycle: a finished tape, with every value and grad it
-holds, is freed by reference counting once the caller lets go, not at the
-next cyclic garbage collection.  A tape that will run no backward is finished
-by release().  A forward-only pass builds its tape with record=False instead:
-it keeps neither a node list nor backward closures, so an intermediate value
-lives only as long as the caller or the next op holds it, and a backward on
-it raises.  activation keeps only its output y and reads the local derivative
-off it (y > 0, or 1 - y^2 for tanh), so no mask is stored either.
+A Tape records Nodes in creation order (a topological order), and backward()
+walks the list in exact reverse, accumulating gradients across fan-out.  The
+model's two spectral stages are one node each, recorded by the layers that
+own them (model.multi_graph_forward, model.MetaGraphConvLayer.apply) from the
+kernels kept here: weighted_sum and _dw over cached powers, and clenshaw.
+sparse_poly_apply, the reference they are checked against, is the one op
+that takes a sparse operator.  A finished tape refuses a second backward and
+has dropped every backward closure and every node's reference back to it, so
+it is freed by reference counting once the caller lets go; release() finishes
+a tape that runs no backward.  A tape made with record=False keeps neither
+nodes nor closures, and a backward on it raises.  activation keeps only its
+output and reads the local derivative off it, so no mask is stored.
 
-Gradients accumulate in place: a node's first gradient is stored as a copy
-of the incoming one, and later ones are added into it.  cheb_apply's
-recurrence allocates nothing per degree: it makes three buffers of the
-input's size, and each sparse product is added straight into one of them
-with scipy's CSR kernel, so its operator is a float64 CSR matrix.  It runs
-over all rows in the calling thread.
+No op writes into a gradient array, so a node keeps the first gradient it is
+handed by reference and sums later ones out of place; add hands its second
+parent a copy, so the two never share one array.  clenshaw allocates nothing
+per degree: three buffers of the input's size, and scipy's CSR kernel adds
+each sparse product straight into one of them, so its operator is a float64
+CSR matrix.  It runs over all rows in the calling thread.
 """
 
 from __future__ import annotations
@@ -98,12 +89,8 @@ class Node:
             tape.nodes.append(self)
 
     def accumulate(self, g) -> None:
-        # the first gradient is copied, never kept: add hands one g to both
-        # parents, and either may later add into its grad in place
-        if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=np.float64)
-        else:
-            self.grad += g
+        # kept by reference: no op writes into a gradient array
+        self.grad = g if self.grad is None else self.grad + g
 
     @property
     def shape(self):
@@ -139,7 +126,7 @@ def add(a: Node, b: Node) -> Node:
 
     def backward(g):
         a.accumulate(g)
-        b.accumulate(g)
+        b.accumulate(g.copy())
 
     return Node(tape, a.value + b.value, "add", backward)
 
@@ -297,45 +284,6 @@ def clenshaw(cheb, M, x: np.ndarray) -> np.ndarray:
     return b1
 
 
-def cheb_apply(cheb, M, x: Node) -> Node:
-    """y = sum_k a_k T_k(M/2) x for fixed Chebyshev coefficients and a fixed
-    symmetric float64 CSR matrix M.  With M = 2(S - I) this is p(S) x for the polynomial
-    p(w) = sum_k a_k T_k(w - 1) on [0, 2].  M is symmetric, so the gradient to
-    x is the same series applied to the incoming gradient; nothing reaches M
-    or the coefficients."""
-    if M.shape[0] != M.shape[1] or x.value.shape[0] != M.shape[0]:
-        raise ValueError(
-            f"operator {M.shape} does not fit signal rows {x.value.shape[0]}")
-    return Node(_tape_of(x), clenshaw(cheb, M, x.value), "cheb_apply",
-                lambda g: x.accumulate(clenshaw(cheb, M, g)))
-
-
-def dense_apply(P: np.ndarray, x: Node) -> Node:
-    """y = P x for a fixed dense matrix P, one GEMM each way: the gradient
-    reaches x only, as P^T g, and nothing reaches P."""
-    if P.ndim != 2 or P.shape[1] != x.value.shape[0]:
-        raise ValueError(f"matrix {P.shape} does not fit signal rows {x.value.shape[0]}")
-    return Node(_tape_of(x), P @ x.value, "dense_apply",
-                lambda g: x.accumulate(P.T @ g))
-
-
-def basis_combine(coeffs, basis: list[np.ndarray], meta_weight: Node) -> Node:
-    """y = sum_k c_k w^k B_k over constant precomputed powers B_k = S^k X.
-
-    Equals sparse_poly_apply(coeffs, S, X, w) bit for bit when basis holds
-    its powers, without a sparse product; the only gradient is dy/dw =
-    sum_k c_k k w^(k-1) B_k, since the basis is a constant.  A basis longer
-    than the coefficients is read up to their length.
-    """
-    cvals = np.asarray(coeffs, dtype=np.float64)
-    if len(basis) < len(cvals):
-        raise ValueError(f"{len(cvals)} coefficients for a basis of {len(basis)} powers")
-    w = float(meta_weight.value)
-    wpow = w ** np.arange(len(cvals))
-    return Node(meta_weight.tape, weighted_sum(cvals, wpow, basis), "basis_combine",
-                lambda g: meta_weight.accumulate(np.asarray(_dw(cvals, w, basis, g))))
-
-
 def weighted_softmax_ce(logits: Node, labels: np.ndarray, weights: np.ndarray,
                         mask: np.ndarray) -> Node:
     """Weighted two-class cross-entropy over masked rows.
@@ -385,19 +333,6 @@ def vstack(blocks: list[Node]) -> Node:
             b.accumulate(g[lo:hi])
 
     return Node(tape, np.vstack([b.value for b in blocks]), "vstack", backward)
-
-
-def row_slice(x: Node, start: int, stop: int) -> Node:
-    if not (0 <= start < stop <= x.value.shape[0]):
-        raise ValueError(f"row slice [{start}:{stop}] out of range for {x.value.shape}")
-
-    def backward(g):
-        # added into the parent's rows: no full-size copy of g is built
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[start:stop] += g
-
-    return Node(x.tape, x.value[start:stop].copy(), "row_slice", backward)
 
 
 def node_sum(x: Node) -> Node:

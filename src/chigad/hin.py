@@ -543,18 +543,19 @@ def degenerate_method1(graph: HeteroGraph) -> sp.csr_matrix:
     return _symmetrize_union(adj)
 
 
-def degenerate_method2(graph: HeteroGraph, target: str) -> sp.csr_matrix:
-    """Adjacency over the target nodes T, from Method 1's adjacency A and N
-    every other node: A[T, T] + A[T, N] A[T, N]^T, binarized, diagonal cleared.
-    Two target nodes connect when a relation links them or when they share a
-    neighbor of another type, in either direction."""
-    if target not in graph.node_counts:
-        raise ValueError(f"target type '{target}' absent")
-    lo = graph.type_offsets()[target]
-    hi = lo + graph.node_counts[target]
-    rows = degenerate_method1(graph)[lo:hi]
-    context = rows[:, np.r_[:lo, hi:rows.shape[1]]]
-    return _symmetrize_union(_clear_diagonal(_binarize(rows[:, lo:hi] + context @ context.T)))
+def degenerate_method2(adjacency: sp.csr_matrix, rows: tuple[int, int]) -> sp.csr_matrix:
+    """Adjacency over the target nodes T, the rows lo:hi of Method 1's
+    adjacency A (`degenerate_method1`), with N every other node:
+    A[T, T] + A[T, N] A[T, N]^T, binarized, diagonal cleared.  Two target
+    nodes connect when a relation links them or when they share a neighbor of
+    another type, in either direction."""
+    lo, hi = rows
+    n = adjacency.shape[0]
+    if not 0 <= lo < hi <= n:
+        raise ValueError(f"target rows {lo}:{hi} do not lie within {n} nodes")
+    block = adjacency[lo:hi]
+    context = block[:, np.r_[:lo, hi:n]]
+    return _symmetrize_union(_clear_diagonal(_binarize(block[:, lo:hi] + context @ context.T)))
 
 
 # ---------------------------------------------------------------------------

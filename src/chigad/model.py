@@ -7,16 +7,19 @@ Three stages, built per graph:
    scalar importance w^S, and the filtered signals are summed into a semantic
    representation (width-preserving).  The filter acts on the constant
    features X, so each meta-path graph's powers S^k X are cached at build, S
-   is dropped, and a forward pass only weighs them by c_k (w^S)^k.
+   is dropped, and a forward pass only weighs them by c_k (w^S)^k, as one
+   tape node for the whole bank (`multi_graph_forward`).
 2. Alignment: one linear map per type onto a shared width d_a.
 3. Interactive meta-graph convolution: the aligned blocks are stacked in the
    global node order, activated, and passed through the sum of a fixed set
    of Chi-Square filter polynomials of the homogenized graph's shift
-   operator S.  They share the operator and the input, so the sum is applied
-   as one Chebyshev series in S - I, summed once at build and cut there where
-   its coefficient tail falls below CHEB_CUT_RTOL of its mass.  Only the
-   target rows lo:hi of the output feed an MLP head with two output columns,
-   and the layer picks one of two paths at build, from input sizes alone:
+   operator S, the normalized Laplacian of Method 1's adjacency.  They share
+   the operator and the input, so the sum is applied as one Chebyshev series
+   in S - I, summed once at build and cut there where its coefficient tail
+   falls below CHEB_CUT_RTOL of its mass.  Only the target rows lo:hi of the
+   output feed an MLP head with two output columns; the layer computes them
+   as one tape node (`MetaGraphConvLayer.apply`) by one of two paths, which
+   it picks at build from input sizes alone:
    - the dense target block p(S)[lo:hi] (n_t x n), built once by the same
      cut series and applied as one GEMM each way, when n_t <= d_a (the block
      is no larger than the conv input) and n_t * n <= DENSE_BLOCK_RATIO *
@@ -24,15 +27,16 @@ Three stages, built per graph:
      recurrence's multiply-adds).  The defaults take it;
    - otherwise Clenshaw's recurrence on M = 2(S - I), one sparse product per
      degree, whose cost follows the cut degree (39 on the defaults, against
-     130 uncut), and a row slice.  The c7 config (n_t 400 > d_a 32), larger
-     graphs and the degree-1 low-pass ablation take it.
+     130 uncut); the node keeps only rows lo:hi of its output.  The c7 config
+     (n_t 400 > d_a 32), larger graphs and the degree-1 low-pass ablation
+     take it.
 
 Every shift operator S is a normalized Laplacian, held as the plain CSR
 matrix `laplacian(adj)` returns: its spectrum lies in [0, 2], the interval
 the filters are fitted on.  An ablation is built by swapping filters on a
 built model (each bank entry's `poly`, which reads the first of the entry's
 cached powers, so it may be no longer than the built filter, and the `conv`
-layer), not by a config key.
+layer, rebuilt on the same adjacency), not by a config key.
 
 The homogeneous variant (ChiGNN) is the same network on a graph with one node
 type n and one relation e: n -> n.  With path_min = path_max = 1 its one
@@ -220,10 +224,11 @@ class MultiGraphFilterBank:
 
 @dataclass(eq=False)
 class MetaGraphConvLayer:
-    """Rows `rows` of p(S) x for the sum p of the conv filters.  `block` is
-    p(S)[lo:hi] when the size rule of stage 3 (module docstring) picks the
-    dense path, and None when the cut series runs by Clenshaw's recurrence."""
-    operator: sp.csr_matrix     # normalized Laplacian S of the Method-1 graph
+    """Rows `rows` of p(S) x for the sum p of the conv filters, S the
+    normalized Laplacian of `adjacency`.  `block` is p(S)[lo:hi] when the
+    size rule of stage 3 (module docstring) picks the dense path, and None
+    when the cut series runs by Clenshaw's recurrence."""
+    adjacency: sp.csr_matrix    # Method 1: every node, in the global node order
     filters: list[PolyFilter]
     rows: tuple[int, int]       # the target rows lo:hi in the global node order
     width: int                  # columns of the conv input, d_a
@@ -233,9 +238,10 @@ class MetaGraphConvLayer:
 
     def __post_init__(self):
         self.cheb = cut_series(summed_coeffs(self.filters))
+        S = laplacian(self.adjacency)
         # the sparse difference stores no zeros, so S's unit diagonal drops out
-        n = self.operator.shape[0]
-        self.matrix = 2.0 * (self.operator - sp.eye(n, format="csr"))
+        n = S.shape[0]
+        self.matrix = 2.0 * (S - sp.eye(n, format="csr"))
         lo, hi = self.rows
         recurrence = (len(self.cheb) - 1) * (self.matrix.nnz + 2 * n)
         self.block = None
@@ -243,6 +249,23 @@ class MetaGraphConvLayer:
             # p(S) is symmetric: its columns lo:hi, p(S) applied to the unit
             # vectors e_lo .. e_(hi-1), are its rows lo:hi
             self.block = ad.clenshaw(self.cheb, self.matrix, np.eye(n, hi - lo, -lo)).T
+
+    def apply(self, x: ad.Node) -> ad.Node:
+        """Rows lo:hi of p(S) x, one tape node.  p(S) is symmetric, so the
+        gradient to x is the block's transpose, or the same series, applied to
+        the incoming gradient scattered into the target rows."""
+        lo, hi = self.rows
+        if self.block is not None:
+            return ad.Node(x.tape, self.block @ x.value, "meta_graph_conv",
+                           lambda g: x.accumulate(self.block.T @ g))
+
+        def backward(g):
+            full = np.zeros(x.value.shape)
+            full[lo:hi] = g
+            x.accumulate(ad.clenshaw(self.cheb, self.matrix, full))
+
+        return ad.Node(x.tape, ad.clenshaw(self.cheb, self.matrix, x.value)[lo:hi].copy(),
+                       "meta_graph_conv", backward)
 
 
 @dataclass(eq=False)
@@ -316,7 +339,7 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
     conv_filters = [fit_polynomial(i, cfg.degree_budget)
                     for i in sorted(set(cfg.candidates))]
     lo = graph.type_offsets()[graph.target_type]
-    conv = MetaGraphConvLayer(laplacian(degenerate_method1(graph)), conv_filters,
+    conv = MetaGraphConvLayer(degenerate_method1(graph), conv_filters,
                               (lo, lo + graph.node_counts[graph.target_type]),
                               cfg.aligned_dim)
 
@@ -365,18 +388,31 @@ class ForwardPass:
 
 def multi_graph_forward(bank: MultiGraphFilterBank,
                         weight_nodes: dict[str, ad.Node]) -> ad.Node:
-    """Semantic representation of the bank's type: sum over meta-paths of the
-    fused filter applied to the features through the learnable importance
-    w^S.  The features and their cached powers are constants, so only w^S
-    receives a gradient.
+    """Semantic representation of the bank's type, one tape node:
+    sum_e sum_k c_k (w_e)^k B^e_k over its meta-path graphs e, the fused
+    filter applied to the features through the learnable importance w_e = w^S.
+    The cached powers B^e_k = S_e^k X are constants, so only the w_e receive
+    a gradient.  An entry's filter may be no longer than its cache.
     """
     if not bank.entries:
         raise ValueError(f"filter bank of type {bank.node_type} is empty")
-    acc = None
+    terms = []      # (weight node, its value, coefficients, cached powers)
+    value = None
     for e in bank.entries:
-        term = ad.basis_combine(e.poly.coeffs, e.basis, weight_nodes[e.weight_name])
-        acc = term if acc is None else ad.add(acc, term)
-    return acc
+        w, cvals = weight_nodes[e.weight_name], e.poly.coeffs
+        if len(e.basis) < len(cvals):
+            raise ValueError(f"{len(cvals)} coefficients for a basis of "
+                             f"{len(e.basis)} powers")
+        wv = float(w.value)
+        terms.append((w, wv, cvals, e.basis))
+        term = ad.weighted_sum(cvals, wv ** np.arange(len(cvals)), e.basis)
+        value = term if value is None else value + term
+
+    def backward(g):
+        for w, wv, cvals, basis in terms:
+            w.accumulate(np.asarray(ad._dw(cvals, wv, basis, g)))
+
+    return ad.Node(ad._tape_of(*(t[0] for t in terms)), value, "filter_bank", backward)
 
 
 def forward_pass(model: ChiGadModel, *, record: bool = True) -> ForwardPass:
@@ -397,12 +433,7 @@ def forward_pass(model: ChiGadModel, *, record: bool = True) -> ForwardPass:
     # the stack are freed once the activation has read them
     activated = ad.activation(ad.vstack([aligned(o) for o in graph.node_types]),
                               model.activation)
-    conv = model.conv
-    if conv.block is not None:
-        rep = ad.dense_apply(conv.block, activated)
-    else:
-        rep = ad.row_slice(ad.cheb_apply(conv.cheb, conv.matrix, activated), *conv.rows)
-
+    rep = model.conv.apply(activated)
     h = rep
     for k in range(model.mlp_layers):
         z = ad.add_bias(ad.matmul(h, pnodes[f"mlp.{k}.W"]), pnodes[f"mlp.{k}.b"])

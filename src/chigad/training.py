@@ -171,7 +171,7 @@ def train(model: ChiGadModel, cfg: RunConfig) -> TrainRecord:
     if not train_mask.any() or not val_mask.any():
         raise ValueError("train and val splits must be nonempty")
     labels = graph.labels
-    L_t = laplacian(degenerate_method2(graph, graph.target_type))
+    L_t = laplacian(degenerate_method2(model.conv.adjacency, model.conv.rows))
     cc = CcLossConfig(cfg.loss_h, cfg.loss_l)
     opt = Adam(model.params, cfg.learning_rate, weight_decay=cfg.weight_decay)
 

@@ -21,14 +21,15 @@ import pytest
 import scipy.sparse as sp
 
 import chigad.autodiff as ad
-from chigad.chifilter import (admissibility_closed_form, admissibility_integral,
+from chigad.chifilter import (PolyFilter, admissibility_closed_form, admissibility_integral,
                               apply_filter, chi_mode, chi_moments, fit_polynomial)
 from chigad.cli import main
 from chigad.config import RunConfig, load_config, sub_seed
 from chigad.hin import (enumerate_meta_paths, hetero_graph_from_dict, laplacian,
                         materialize_meta_path_graph)
 from chigad.metrics import compute_metrics
-from chigad.model import build_model, forward_pass
+from chigad.model import (BankEntry, MetaGraphConvLayer, MultiGraphFilterBank, build_model,
+                          forward_pass, multi_graph_forward)
 from chigad.synthetic import generate_synthetic_hin
 from chigad.training import CcLossConfig, cc_weights, node_contributions, train, evaluate
 
@@ -124,18 +125,21 @@ MODEL_TOL = 1e-3
 
 
 def _fd_check(build, params, tol):
-    """FD-check gradients of scalar build(tape, leaves) w.r.t. every param."""
+    """FD-check gradients of scalar build(tape, leaves) w.r.t. every param;
+    returns the names of the ops the tape recorded, leaves aside."""
     def run():
         t = ad.Tape()
         nodes = [t.leaf(p) for p in params]
         return t, nodes, build(t, nodes)
 
     t, nodes, loss = run()
+    ops = {n.op for n in t.nodes if n.backward_fn is not None}
     t.backward(loss)
     for j, p in enumerate(params):
         numeric = fd_gradient(lambda: float(run()[2].value), p)
         assert nodes[j].grad is not None, f"param {j} got no gradient"
         assert grad_mismatch(nodes[j].grad, numeric) < tol, f"param {j}"
+    return ops
 
 
 def _away_from_kinks(x, margin=1e-3):
@@ -147,31 +151,36 @@ def _away_from_kinks(x, margin=1e-3):
 def test_c4_gradients(capsys):
     with criterion(4, "gradient checks", 120.0, capsys):
         count = 0
+        checked = set()     # ops the per-op cases run through
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             A, B = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-            _fd_check(lambda t, n: ad.node_sum(ad.matmul(n[0], n[1])), [A, B], OP_TOL)
+            checked |= _fd_check(lambda t, n: ad.node_sum(ad.matmul(n[0], n[1])), [A, B],
+                                 OP_TOL)
             count += 1
 
             X, Y, b = (rng.standard_normal((4, 3)), rng.standard_normal((4, 3)),
                        rng.standard_normal(3))
-            _fd_check(lambda t, n: ad.node_sum(ad.add_bias(ad.add(n[0], n[1]), n[2])),
-                      [X, Y, b], OP_TOL)
+            checked |= _fd_check(
+                lambda t, n: ad.node_sum(ad.add_bias(ad.add(n[0], n[1]), n[2])),
+                [X, Y, b], OP_TOL)
             count += 1
 
             M, s = rng.standard_normal((3, 3)), np.asarray(rng.normal(1.0, 0.3))
-            _fd_check(lambda t, n: ad.node_sum(ad.scale(n[0], n[1])), [M, s], OP_TOL)
+            checked |= _fd_check(lambda t, n: ad.node_sum(ad.scale(n[0], n[1])), [M, s],
+                                 OP_TOL)
             count += 1
 
             U, V = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
-            _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(n[0], n[1])),
-                      [U, V], OP_TOL)
+            checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(n[0], n[1])),
+                                 [U, V], OP_TOL)
             count += 1
 
             Z = _away_from_kinks(rng.standard_normal((5, 3)))
             for kind in ad.ACTIVATIONS:
-                _fd_check(lambda t, n, k=kind: ad.node_sum(ad.activation(n[0], k)),
-                          [Z.copy()], OP_TOL)
+                checked |= _fd_check(
+                    lambda t, n, k=kind: ad.node_sum(ad.activation(n[0], k)), [Z.copy()],
+                    OP_TOL)
             count += 1
 
             n_nodes = 6
@@ -179,17 +188,38 @@ def test_c4_gradients(capsys):
             S = sp.csr_matrix((dense + dense.T) / 4)
             coeffs = rng.standard_normal(4)
             F, w = rng.standard_normal((n_nodes, 2)), np.asarray(rng.normal(1.0, 0.2))
-            _fd_check(lambda t, n: ad.node_sum(
+            checked |= _fd_check(lambda t, n: ad.node_sum(
                 ad.sparse_poly_apply(coeffs, S, n[0], meta_weight=n[1])), [F, w], OP_TOL)
             count += 1
 
-            cheb = rng.standard_normal(5)
-            _fd_check(lambda t, n: ad.node_sum(ad.cheb_apply(cheb, S, n[0])), [F], OP_TOL)
+            # the bank node, one per type, on each entry's weight
+            bank = MultiGraphFilterBank("t", [
+                BankEntry(PolyFilter(rng.standard_normal(k), 0.0), f"w{j}",
+                          list(ad.monomial_powers(S, F, k)))
+                for j, k in enumerate((4, 3))])
+            G = rng.standard_normal(F.shape)
+            ws = [np.asarray(v) for v in rng.normal(1.0, 0.2, size=2)]
+            checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(
+                multi_graph_forward(bank, {"w0": n[0], "w1": n[1]}), t.leaf(G))), ws, OP_TOL)
             count += 1
 
-            P, Q = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
-            _fd_check(lambda t, n: ad.node_sum(ad.row_slice(ad.vstack([n[0], n[1]]), 1, 4)),
-                      [P, Q], OP_TOL)
+            # the conv node on both paths, rows 1:4 of 6, so a transposed
+            # gradient cannot pass; width 2 takes the recurrence, 3 the block
+            upper = np.triu(rng.random((n_nodes, n_nodes)) < 0.5, 1)
+            adj = sp.csr_matrix((upper | upper.T).astype(float))
+            filters = [PolyFilter(rng.standard_normal(5), 0.0)]
+            for width in (2, 3):
+                conv = MetaGraphConvLayer(adj, filters, (1, 4), width)
+                assert (conv.block is None) == (width == 2)
+                H, G = rng.standard_normal((n_nodes, width)), rng.standard_normal((3, width))
+                checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(
+                    conv.apply(n[0]), t.leaf(G))), [H], OP_TOL)
+            count += 1
+
+            P, Q, G = (rng.standard_normal((3, 2)), rng.standard_normal((2, 2)),
+                       rng.standard_normal((5, 2)))
+            checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(
+                ad.vstack([n[0], n[1]]), t.leaf(G))), [P, Q], OP_TOL)
             count += 1
 
             logits = rng.standard_normal((6, 2))
@@ -197,13 +227,9 @@ def test_c4_gradients(capsys):
             weights = np.abs(rng.normal(1.0, 0.3, size=6)) + 0.1
             mask = np.zeros(6, dtype=bool)
             mask[rng.choice(6, size=4, replace=False)] = True
-            _fd_check(lambda t, n: ad.weighted_softmax_ce(n[0], labels, weights, mask),
-                      [logits], OP_TOL)
-            count += 1
-
-            # a non-square block, so a transposed gradient cannot pass
-            block = rng.standard_normal((3, n_nodes))
-            _fd_check(lambda t, n: ad.node_sum(ad.dense_apply(block, n[0])), [F], OP_TOL)
+            checked |= _fd_check(
+                lambda t, n: ad.weighted_softmax_ce(n[0], labels, weights, mask), [logits],
+                OP_TOL)
             count += 1
 
         # whole-model check: loss through the full forward against FD on
@@ -237,6 +263,17 @@ def test_c4_gradients(capsys):
                     f"seed {seed} param {name}"
             count += 1
         assert count == 60
+
+        # every op a recording forward pass puts on its tape has a case above,
+        # on each conv path (target rows 6 > aligned_dim 5: the recurrence)
+        for dim in (5, 6):
+            cfg = RunConfig(candidates=(1, 2), bands=3, aligned_dim=dim, mlp_layers=2,
+                            activation="tanh")
+            model = build_model(make_hin(np.random.default_rng(7000)), cfg)
+            assert (model.conv.block is None) == (dim == 5)
+            fp = forward_pass(model)    # alive: dropping it releases the tape
+            recorded = {n.op for n in fp.tape.nodes if n.backward_fn is not None}
+            assert "meta_graph_conv" in recorded and recorded <= checked, f"no c4 case for {sorted(recorded - checked)}"
 
 
 def test_c5_oracle_equivalence(capsys):

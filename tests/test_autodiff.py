@@ -8,10 +8,12 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
-                             add_bias, basis_combine, cheb_apply, clenshaw,
-                             elementwise_mul, matmul, monomial_powers, node_sum,
-                             row_slice, scale, sparse_poly_apply, vstack,
-                             weighted_softmax_ce)
+                             add_bias, clenshaw, elementwise_mul, matmul,
+                             monomial_powers, node_sum, scale, sparse_poly_apply,
+                             vstack, weighted_softmax_ce)
+from chigad.chifilter import PolyFilter
+from chigad.model import (BankEntry, MetaGraphConvLayer, MultiGraphFilterBank,
+                          multi_graph_forward)
 from oracles import (activation_grad_with_mask, dense_poly_apply, fd_gradient,
                      grad_mismatch)
 
@@ -23,6 +25,23 @@ def ring_operator(n):
     for k in range(n):
         a[k, (k + 1) % n] = a[(k + 1) % n, k] = 1.0
     return sp.csr_matrix(a)
+
+
+def bank_of(S, X, chebs, lengths=None):
+    """A filter bank with one entry per series, on the powers S^k X; entry j
+    caches lengths[j] of them (default: as many as its coefficients)."""
+    entries = []
+    for j, cheb in enumerate(chebs):
+        count = len(cheb) if lengths is None else lengths[j]
+        entries.append(BankEntry(PolyFilter(cheb, 0.0), f"w{j}",
+                                 list(monomial_powers(S, X, count))))
+    return MultiGraphFilterBank("t", entries)
+
+
+def conv_of(n, rows, width, cheb=(0.7, -0.4, 0.3, 0.2)):
+    """A conv layer on the ring of n nodes; width picks its path."""
+    return MetaGraphConvLayer(ring_operator(n), [PolyFilter(np.array(cheb), 0.0)],
+                              rows, width)
 
 
 def directed_operator(n, seed=0):
@@ -82,22 +101,26 @@ class TestValues:
             assert np.allclose(out.value, want, atol=1e-12)
 
     def test_basis_combine_matches_sparse_poly(self):
-        # same powers, same summation order: equal bit for bit
+        # the bank node: same powers, same summation order, entries added in
+        # bank order, so it equals a sum of sparse_poly_apply bit for bit
         rng = np.random.default_rng(11)
         S = directed_operator(7)
         X = rng.standard_normal((7, 3))
-        coeffs = rng.standard_normal(5)
+        chebs = [rng.standard_normal(5), rng.standard_normal(3)]
         t = Tape()
-        w = t.leaf(1.3)
-        got = basis_combine(coeffs, list(monomial_powers(S, X, 5)), w)
-        want = sparse_poly_apply(coeffs, S, t.leaf(X), w)
-        assert np.array_equal(got.value, want.value)
+        ws = {"w0": t.leaf(1.3), "w1": t.leaf(0.6)}
+        bank = bank_of(S, X, chebs)
+        got = multi_graph_forward(bank, ws)
+        spa = [sparse_poly_apply(e.poly.coeffs, S, t.leaf(X), ws[e.weight_name])
+               for e in bank.entries]
+        assert np.array_equal(got.value, add(*spa).value)
+        assert [n.op for n in t.nodes].count("filter_bank") == 1
         # a longer basis is read up to the coefficients' length; a shorter one
         # is refused
-        longer = basis_combine(coeffs, list(monomial_powers(S, X, 7)), w)
-        assert np.array_equal(longer.value, want.value)
+        longer = multi_graph_forward(bank_of(S, X, chebs, [7, 3]), ws)
+        assert np.array_equal(longer.value, got.value)
         with pytest.raises(ValueError, match="5 coefficients for a basis of 4 powers"):
-            basis_combine(coeffs, list(monomial_powers(S, X, 4)), w)
+            multi_graph_forward(bank_of(S, X, chebs, [4, 3]), ws)
 
     def test_ce_perfect_prediction(self):
         t = Tape()
@@ -136,7 +159,10 @@ class TestValues:
         b = t.leaf(2 * np.ones((1, 3)))
         stacked = vstack([a, b])
         assert stacked.value.shape == (3, 3)
-        assert np.array_equal(row_slice(stacked, 2, 3).value, b.value)
+        assert np.array_equal(stacked.value[2:3], b.value)
+        # the conv node keeps its target rows of p(S) x, here of x itself
+        identity = conv_of(3, (2, 3), 0, cheb=(1.0,))
+        assert np.array_equal(identity.apply(stacked).value, b.value)
 
 
 class TestGradients:
@@ -215,17 +241,17 @@ class TestGradients:
             self.check(build, [X, w])
 
     def test_basis_combine_weight(self):
+        # the bank node's gradient, to each entry's weight
         rng = np.random.default_rng(12)
         S = directed_operator(6, seed=1)
         X = rng.standard_normal((6, 2))
-        coeffs = np.array([0.5, -1.0, 0.25, 0.8])
-        basis = list(monomial_powers(S, X, len(coeffs)))
+        bank = bank_of(S, X, [np.array([0.5, -1.0, 0.25, 0.8]), np.array([0.3, 0.9])])
 
         def build(t, n):
-            y = basis_combine(coeffs, basis, n[0])
+            y = multi_graph_forward(bank, {"w0": n[0], "w1": n[1]})
             return node_sum(elementwise_mul(y, y))
 
-        self.check(build, [np.asarray(0.7)])
+        self.check(build, [np.asarray(0.7), np.asarray(1.2)])
 
     def test_weighted_ce(self):
         rng = np.random.default_rng(6)
@@ -236,15 +262,18 @@ class TestGradients:
         self.check(lambda t, n: weighted_softmax_ce(n[0], labels, weights, mask), [Z])
 
     def test_vstack_row_slice_sum(self):
+        # vstack, then the conv node's rows 1:4 on each of its paths
         rng = np.random.default_rng(7)
         A, B = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
+        for width in (2, 3):
+            conv = conv_of(5, (1, 4), width)
+            assert (conv.block is None) == (width == 2)
 
-        def build(t, n):
-            stacked = vstack([n[0], n[1]])
-            return node_sum(elementwise_mul(row_slice(stacked, 1, 4),
-                                            row_slice(stacked, 1, 4)))
+            def build(t, n):
+                y = conv.apply(vstack([n[0], n[1]]))
+                return node_sum(elementwise_mul(y, y))
 
-        self.check(build, [A, B])
+            self.check(build, [A, B])
 
     def test_fanout_accumulates(self):
         t = Tape()
@@ -488,26 +517,39 @@ class TestInPlaceKernels:
         x = np.random.default_rng(10).standard_normal((20, 3))
         with pytest.raises(ValueError, match="float64 CSR matrix"):
             clenshaw(np.ones(4), M, x)
-        with pytest.raises(ValueError, match="float64 CSR matrix"):
-            cheb_apply(np.ones(4), M, Tape().leaf(x))
+        # the conv layer builds its own operator, a float64 CSR matrix,
+        # from an adjacency in any of these forms
+        conv = MetaGraphConvLayer(abs(M), [PolyFilter(np.ones(4), 0.0)], (0, 5), 3)
+        assert conv.matrix.format == "csr" and conv.matrix.dtype == np.float64
 
     def test_cheb_apply_writes_neither_input_nor_gradient(self):
-        n = 30
-        M = symmetric_operator(n, seed=6)
+        # the conv node, on each path
+        n, lo, hi = 30, 4, 9
         cheb = np.random.default_rng(7).standard_normal(6)
         rng = np.random.default_rng(8)
-        x, g = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+        x, g = rng.standard_normal((n, 5)), rng.standard_normal((hi - lo, 5))
         x_before, g_before = x.copy(), g.copy()
         x.flags.writeable = False
         g.flags.writeable = False
-        t = Tape()
-        leaf = t.leaf(x)
-        y = cheb_apply(cheb, M, leaf)
-        y.backward_fn(g)
-        assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
-        assert np.array_equal(y.value, clenshaw(cheb, M, x_before))
-        assert np.array_equal(leaf.grad, clenshaw(cheb, M, g_before))
-        assert not np.shares_memory(y.value, x) and not np.shares_memory(leaf.grad, g)
+        for width in (4, 5):
+            conv = conv_of(n, (lo, hi), width, cheb)
+            assert (conv.block is None) == (width == 4)
+            t = Tape()
+            leaf = t.leaf(x)
+            y = conv.apply(leaf)
+            y.backward_fn(g)
+            assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+            full = np.zeros((n, 5))
+            full[lo:hi] = g_before
+            want_y = clenshaw(conv.cheb, conv.matrix, x_before)[lo:hi]
+            want_grad = clenshaw(conv.cheb, conv.matrix, full)
+            if conv.block is None:
+                assert np.array_equal(y.value, want_y)
+                assert np.array_equal(leaf.grad, want_grad)
+            else:
+                assert np.max(np.abs(y.value - want_y)) <= 1e-12 * np.max(np.abs(want_y))
+                assert np.max(np.abs(leaf.grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+            assert not np.shares_memory(y.value, x) and not np.shares_memory(leaf.grad, g)
 
     def test_add_parents_get_separate_gradients(self):
         t = Tape()

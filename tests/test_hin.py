@@ -17,6 +17,12 @@ from conftest import make_hin, make_one_type_hin
 from oracles import dfs_meta_paths, method2_by_relations, walk_pairs
 
 
+def method2(graph, target):
+    """Method 2 of one target type, read off the graph's Method 1."""
+    lo = graph.type_offsets()[target]
+    return degenerate_method2(degenerate_method1(graph), (lo, lo + graph.node_counts[target]))
+
+
 def paper_schema_doc():
     """Author/paper style: a compose p, p composed_by a."""
     return {
@@ -498,7 +504,7 @@ class TestDegeneration:
 
     def test_method2_common_neighbor(self):
         g = hetero_graph_from_dict(paper_schema_doc())
-        adj = degenerate_method2(g, "A").toarray()
+        adj = method2(g, "A").toarray()
         assert adj.shape == (3, 3)
         # authors 0,1 share paper 0; author 2 touches only paper 1
         assert adj[0, 1] == 1 and adj[1, 0] == 1
@@ -510,12 +516,16 @@ class TestDegeneration:
         doc["relations"].append(
             {"name": "coauthor", "src": "A", "dst": "A", "edges": [[1, 2]]})
         g = hetero_graph_from_dict(doc)
-        adj = degenerate_method2(g, "A").toarray()
+        adj = method2(g, "A").toarray()
         assert adj[1, 2] == 1 and adj[2, 1] == 1
 
     def test_method2_unknown_type(self, tiny_hin):
-        with pytest.raises(ValueError):
-            degenerate_method2(tiny_hin, "zz")
+        # target rows that name no nodes of the adjacency, as an absent type would
+        adj = degenerate_method1(tiny_hin)
+        n = adj.shape[0]
+        for rows in ((n, n + 2), (0, n + 1), (2, 2), (-1, 1)):
+            with pytest.raises(ValueError, match="do not lie within"):
+                degenerate_method2(adj, rows)
 
 
 def edge_case_doc():
@@ -547,7 +557,7 @@ class TestMethod2Reference:
 
     @staticmethod
     def assert_same(graph, target):
-        got, want = degenerate_method2(graph, target), method2_by_relations(graph, target)
+        got, want = method2(graph, target), method2_by_relations(graph, target)
         assert got.shape == want.shape
         for key in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
@@ -576,7 +586,7 @@ class TestMethod2Reference:
         g = hetero_graph_from_dict(edge_case_doc())
         for target in g.node_types:
             self.assert_same(g, target)
-        adj = degenerate_method2(g, "A").toarray()
+        adj = method2(g, "A").toarray()
         # the one-way 1 -> 2 and 3 -> 2 edges, P0 shared by 0 and 1 (ap), P1
         # by 3 (ap) and 2 (pa), Q0 by 2 and 4 (aq, no reverse); no self-loop,
         # and no 1 - 3 edge: the walk 1 - 2 - 3 runs through the target type

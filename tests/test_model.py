@@ -1,4 +1,5 @@
 import collections
+import copy
 import gc
 import json
 import re
@@ -677,7 +678,7 @@ class TestChiGnn:
         assert [str(p) for p in tp.paths] == ["n-e-n"]
         assert tp.degenerate and tp.labels == ["all"]
         assert [e.weight_name for e in model.banks["n"].entries] == ["wS[n][0]"]
-        assert model.conv.operator.shape[0] == g.node_counts["n"]
+        assert model.conv.adjacency.shape[0] == g.node_counts["n"]
         assert [f.degree for f in model.conv.filters] == [1 - 1 + 3, 2 - 1 + 3]
         fp = forward_pass(model, record=False)
         prob, rep = fp.prob, fp.rep.value
@@ -692,7 +693,7 @@ class TestChiGnn:
         bank = model.banks["n"]
         for e in bank.entries:
             e.poly = PolyFilter(np.array([1.0]), 0.0)
-        model.conv = MetaGraphConvLayer(model.conv.operator,
+        model.conv = MetaGraphConvLayer(model.conv.adjacency,
                                         [PolyFilter(np.array([1.0]), 0.0)],
                                         model.conv.rows, model.conv.width)
         prob = forward_pass(model, record=False).prob
@@ -731,12 +732,13 @@ class TestBenchGraph:
     def test_summed_conv_matches_per_filter_oracles(self, c7_graph):
         graph, cfg = c7_graph
         model = build_model(graph, cfg)
-        S = model.conv.operator
-        H = np.random.default_rng(3).standard_normal((S.shape[0], cfg.aligned_dim))
-        got = ad.cheb_apply(model.conv.cheb, model.conv.matrix, ad.Tape().leaf(H)).value
-        dense = S.toarray()
-        want = sum(dense_poly_apply(f.coeffs, dense, H) for f in model.conv.filters)
-        assert len(model.conv.filters) == len(set(cfg.candidates))
+        conv = model.conv
+        dense = laplacian(conv.adjacency).toarray()
+        H = np.random.default_rng(3).standard_normal((dense.shape[0], cfg.aligned_dim))
+        got = conv.apply(ad.Tape().leaf(H)).value
+        lo, hi = conv.rows
+        want = sum(dense_poly_apply(f.coeffs, dense, H) for f in conv.filters)[lo:hi]
+        assert len(conv.filters) == len(set(cfg.candidates))
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_epoch_matvec_counts(self, c7_graph, monkeypatch):
@@ -767,13 +769,14 @@ def test_defaults_conv_cut_matches_uncut():
     conv = build_model(graph, cfg).conv
     full = summed_coeffs(conv.filters)
     assert (len(full), len(conv.cheb)) == (131, 40)
-    H = np.random.default_rng(5).standard_normal((conv.operator.shape[0], 16))
+    H = np.random.default_rng(5).standard_normal((conv.adjacency.shape[0], 16))
     got = ad.clenshaw(conv.cheb, conv.matrix, H)
     want = ad.clenshaw(full, conv.matrix, H)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     # S's unit diagonal is not stored in 2(S - I)
-    unit_diagonal = np.count_nonzero(conv.operator.diagonal() == 1.0)
-    assert conv.matrix.nnz == conv.operator.nnz - unit_diagonal
+    S = laplacian(conv.adjacency)
+    unit_diagonal = np.count_nonzero(S.diagonal() == 1.0)
+    assert conv.matrix.nnz == S.nnz - unit_diagonal
 
 
 @pytest.fixture(scope="module", params=[0, 1])
@@ -794,9 +797,11 @@ class TestDenseTargetBlock:
         G = np.random.default_rng(11).standard_normal(fp.rep.shape)
         fp.tape.backward(ad.node_sum(ad.elementwise_mul(fp.rep, fp.tape.leaf(G))))
 
+        recurrence = copy.copy(conv)
+        recurrence.block = None
         tape = ad.Tape()
         x = tape.leaf(fp.conv_input.value)
-        rep = ad.row_slice(ad.cheb_apply(conv.cheb, conv.matrix, x), *conv.rows)
+        rep = recurrence.apply(x)
         tape.backward(ad.node_sum(ad.elementwise_mul(rep, tape.leaf(G))))
         for got, want in ((fp.rep.value, rep.value), (fp.conv_input.grad, x.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -860,6 +865,40 @@ class TestForwardOnlyPass:
         assert all("coeffs" not in vars(f) for f in model.conv.filters)
         forward_pass(model, record=False)
         assert all("coeffs" not in vars(f) for f in model.conv.filters)
+
+
+@pytest.mark.parametrize("aligned_dim", [5, 6], ids=["recurrence", "dense_block"])
+def test_backward_writes_no_gradient(aligned_dim, monkeypatch):
+    # a node keeps its first gradient by reference, which is sound only while
+    # no op writes into a gradient: a full-model backward on read-only
+    # gradients succeeds and gives the same parameter gradients
+    graph = make_hin(np.random.default_rng(31))
+    cfg = RunConfig(candidates=(1, 2), bands=3, aligned_dim=aligned_dim, mlp_layers=2)
+    model = build_model(graph, cfg)
+    assert (model.conv.block is None) == (aligned_dim == 5)
+    for name, arr in model.params.items():
+        model.params[name] = arr + np.random.default_rng(32).normal(0.0, 0.4, arr.shape)
+    weights = np.ones(len(graph.labels))
+
+    def gradients():
+        fp = forward_pass(model)
+        fp.tape.backward(ad.weighted_softmax_ce(fp.logits, graph.labels, weights,
+                                                graph.split_masks["train"]))
+        return {k: n.grad for k, n in fp.param_nodes.items()}
+
+    want = gradients()
+    accumulate = ad.Node.accumulate
+
+    def read_only(node, g):
+        accumulate(node, g)
+        if isinstance(node.grad, np.ndarray):
+            node.grad.flags.writeable = False
+
+    monkeypatch.setattr(ad.Node, "accumulate", read_only)
+    got = gradients()
+    assert all(g is not None for g in want.values())
+    assert {k: np.asarray(g).tobytes() for k, g in got.items()} == \
+        {k: np.asarray(g).tobytes() for k, g in want.items()}
 
 
 class TestIdentityEquality:
