@@ -94,9 +94,11 @@ def cc_weights(contrib: ContributionVector, labels: np.ndarray,
 class Adam:
     """Full-batch Adam on a named parameter dict, updated in place.
 
-    weight_decay adds an L2 penalty gradient before the moment updates, so
-    near convergence the shrinkage direction keeps a full-size adaptive step;
-    this is what pulls the fit away from interpolating individual nodes.
+    Weight decay is decoupled (Loshchilov & Hutter 2019, AdamW): a step first
+    multiplies p by exactly 1 - lr * weight_decay, then takes the Adam step on
+    the loss gradient alone, so the decay is never divided by the
+    second-moment estimate.  torch.optim.Adam(weight_decay=...) couples it
+    instead, as an L2 term added to the gradient.
 
     Each parameter array, and its moments, keep their identity across steps:
     the update runs in two scratch buffers that all parameters share, in the
@@ -123,15 +125,14 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        decay = 1 - self.lr * self.weight_decay
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
                 continue
             m, v = self.m[name], self.v[name]
             s1, s2 = (buf[:p.size].reshape(p.shape) for buf in self.scratch)
-            if self.weight_decay:
-                np.multiply(p, self.weight_decay, out=s1)
-                g = np.add(g, s1, out=s1)
+            p *= decay      # exact at weight_decay 0
             m *= b1
             m += np.multiply(g, 1 - b1, out=s2)
             v *= b2

@@ -253,8 +253,8 @@ def grad_mismatch(analytic, numeric):
 
 def adam_reference(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                    weight_decay=0.0):
-    """Out-of-place Adam by its textbook expressions: every step builds fresh
-    moment and parameter arrays.  grad_steps is a list of per-step gradient
+    """Out-of-place Adam with decoupled weight decay (AdamW) by its textbook
+    expressions: every step builds fresh moment and parameter arrays.  grad_steps is a list of per-step gradient
     dicts (a missing name skips that parameter); returns the parameters
     after each step."""
     p = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
@@ -267,7 +267,7 @@ def adam_reference(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8,
             if g is None:
                 continue
             if weight_decay:
-                g = g + weight_decay * p[name]
+                p[name] = p[name] * (1 - lr * weight_decay)
             m[name] = beta1 * m[name] + (1 - beta1) * g
             v[name] = beta2 * v[name] + (1 - beta2) * g * g
             m_hat = m[name] / (1 - beta1 ** t)

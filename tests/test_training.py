@@ -145,12 +145,17 @@ class TestAdam:
         assert params["a"][0] != 1.0
 
     def test_weight_decay_shrinks_at_zero_gradient(self):
-        # the penalty enters the gradient, so even g = 0 moves weights toward 0
-        params = {"w": np.array([4.0])}
+        # decoupled decay: at a zero loss gradient each step multiplies p by
+        # exactly 1 - lr * wd, for a large entry as for a small one and for
+        # a 0-d w^S; a coupled penalty would move each by about lr
+        start = {"w": np.array([4.0, -1e-6, 0.3]), "wS": np.asarray(1.5)}
+        params = {k: v.copy() for k, v in start.items()}
         opt = Adam(params, lr=0.05, weight_decay=0.1)
-        for _ in range(400):
-            opt.step({"w": np.array([0.0])})
-        assert abs(params["w"][0]) < 0.1
+        for _ in range(2):
+            before = {k: v.copy() for k, v in params.items()}
+            opt.step({"w": np.zeros(3), "wS": np.asarray(0.0)})
+            for name, arr in params.items():
+                assert arr.tobytes() == (before[name] * (1 - 0.05 * 0.1)).tobytes()
 
     def test_zero_weight_decay_matches_default(self):
         pa = {"w": np.array([1.5])}
