@@ -8,10 +8,11 @@ kernels kept here: weighted_sum and _dw over cached powers, and clenshaw.
 sparse_poly_apply, the reference they are checked against, is the one op
 that takes a sparse operator.  A finished tape refuses a second backward and
 has dropped every backward closure and every node's reference back to it, so
-it is freed by reference counting once the caller lets go; release() finishes
-a tape that runs no backward.  A tape made with record=False keeps neither
-nodes nor closures, and a backward on it raises.  activation keeps only its
-output and reads the local derivative off it, so no mask is stored.
+it is freed by reference counting once the caller lets go; a recording tape
+that runs no backward is left to the cyclic garbage collector.  A tape made
+with record=False keeps neither nodes nor closures, and a backward on it
+raises.  activation keeps only its output and reads the local derivative off
+it, so no mask is stored.
 
 No op writes into a gradient array, so a node keeps the first gradient it is
 handed by reference and sums later ones out of place; add hands its second
@@ -63,14 +64,6 @@ class Tape:
             node.tape = None
             if node.grad is not None and backward_fn is not None:
                 backward_fn(node.grad)
-
-    def release(self) -> None:
-        """Finish the tape without a backward pass: drop every closure and
-        every node's reference to the tape, which breaks the cycle."""
-        self.finalized = True
-        for node in self.nodes:
-            node.tape = None
-            node.backward_fn = None
 
 
 class Node:

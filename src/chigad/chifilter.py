@@ -199,16 +199,13 @@ def fit_grid_polynomial(w: np.ndarray, y: np.ndarray, degree: int) -> PolyFilter
     return PolyFilter(cheb.coef, float(np.max(np.abs(cheb(w) - y))))
 
 
-def fit_polynomial(i: int, d: int = 3, grid_size: int | None = None) -> PolyFilter:
-    """Degree i-1+d least-squares fit of f_i on a uniform grid over [0, 2]."""
+def fit_polynomial(i: int, d: int = 3) -> PolyFilter:
+    """Degree i-1+d least-squares fit of f_i on a uniform grid over [0, 2]
+    of max(1024, 4(i+d)) points."""
     i = _check_index(i)
     if d < 1:
         raise ValueError("degree budget d must be >= 1")
-    if grid_size is None:
-        grid_size = max(1024, 4 * (i + d))
-    if grid_size < 4 * (i + d):
-        raise ValueError(f"grid_size must be >= 4(i+d) = {4 * (i + d)}")
-    w = np.linspace(0.0, FREQ_MAX, grid_size)
+    w = np.linspace(0.0, FREQ_MAX, max(1024, 4 * (i + d)))
     return fit_grid_polynomial(w, chi_response(i, w), i - 1 + d)
 
 

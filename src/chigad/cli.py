@@ -181,11 +181,20 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
 
 
 def _emit_metrics(model, out: str, prefix: str) -> None:
-    graph, fp = model.graph, forward_pass(model, record=False)
+    """Test-split metrics and curves, written only when the split holds both
+    classes; otherwise one line says why, and the command still succeeds."""
+    graph = model.graph
+    mask = graph.split_masks["test"]
+    labels = graph.labels[mask]
+    if len(set(labels.tolist())) < 2:
+        why = "is empty" if not mask.any() else "holds a single class"
+        print(f"skipped {prefix}metrics.json, {prefix}roc.csv and {prefix}pr.csv: "
+              f"the test split {why}")
+        return
+    fp = forward_pass(model, record=False)
     rec = split_metrics(fp.prob, graph, "test")
     _write_json(os.path.join(out, f"{prefix}metrics.json"), rec.as_dict())
-    mask = graph.split_masks["test"]
-    scores, labels = fp.prob[mask, 1], graph.labels[mask]
+    scores = fp.prob[mask, 1]
     _write_csv(os.path.join(out, f"{prefix}roc.csv"), ["fpr", "tpr"],
                [[_fmt(a), _fmt(b)] for a, b in roc_points(scores, labels)])
     _write_csv(os.path.join(out, f"{prefix}pr.csv"), ["recall", "precision"],

@@ -370,20 +370,16 @@ def build_model(graph: HeteroGraph, cfg: RunConfig,
 @dataclass
 class ForwardPass:
     """One forward pass and the tape it owns.  A recording pass (the default)
-    runs its backward while the pass is alive: dropping it releases a tape
-    that ran none, so it is freed by reference counting.  A forward-only pass,
-    record=False, keeps no tape: neither nodes nor closures, so only the
-    fields below outlive it, and a backward on its tape raises."""
+    is finished by its backward, which the caller may run on the tape after
+    dropping the pass.  A forward-only pass, record=False, keeps no tape:
+    neither nodes nor closures, so only the fields below outlive it, and a
+    backward on its tape raises."""
     tape: ad.Tape
     prob: np.ndarray             # target nodes x 2
     logits: ad.Node
     rep: ad.Node                 # pre-head representation X' of the target block
     param_nodes: dict[str, ad.Node]
     conv_input: ad.Node          # activated, stacked rows the convolution reads
-
-    def __del__(self):
-        if not self.tape.finalized:
-            self.tape.release()
 
 
 def multi_graph_forward(bank: MultiGraphFilterBank,

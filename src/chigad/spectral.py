@@ -225,8 +225,7 @@ class FusedFilter:
 
 
 def fuse_filters(assignments: dict[str, int], own_division: str,
-                 w_d: float = 0.1, d: int = 3,
-                 grid_size: int = FUSION_GRID) -> FusedFilter:
+                 w_d: float = 0.1, d: int = 3) -> FusedFilter:
     """Blend the per-division filters into one response for the meta-path
     graphs of one division.
 
@@ -241,7 +240,7 @@ def fuse_filters(assignments: dict[str, int], own_division: str,
     if not (0.0 < w_d <= 1.0):
         raise ValueError("w_d must lie in (0, 1]")
     order = [v for v in (*DIVISIONS, DEGENERATE_DIVISION) if v in assignments]
-    grid = np.linspace(0.0, FREQ_MAX, grid_size)
+    grid = np.linspace(0.0, FREQ_MAX, FUSION_GRID)
     h = grid[1] - grid[0]
     weights = {v: (1.0 if v == own_division else w_d) for v in order}
 

@@ -271,8 +271,9 @@ def test_c4_gradients(capsys):
                             activation="tanh")
             model = build_model(make_hin(np.random.default_rng(7000)), cfg)
             assert (model.conv.block is None) == (dim == 5)
-            fp = forward_pass(model)    # alive: dropping it releases the tape
-            recorded = {n.op for n in fp.tape.nodes if n.backward_fn is not None}
+            tape = forward_pass(model).tape
+            recorded = {n.op for n in tape.nodes if n.backward_fn is not None}
+            assert recorded, "the forward pass recorded no op"
             assert "meta_graph_conv" in recorded and recorded <= checked, f"no c4 case for {sorted(recorded - checked)}"
 
 

@@ -484,6 +484,29 @@ class TestCliGraphCommands:
         assert (other / "eval_metrics.json").read_bytes() == \
             (run / "metrics.json").read_bytes()
 
+    @pytest.mark.parametrize("keep, why", [(None, "is empty"),
+                                           (0, "holds a single class")])
+    def test_unscorable_test_split_skips_metrics(self, tmp_path, capsys, keep, why):
+        gpath = self.synth_graph(tmp_path)
+        with open(gpath) as fh:
+            doc = json.load(fh)
+        test = doc["splits"]["test"]
+        doc["splits"]["test"] = ([] if keep is None
+                                 else [i for i in test if doc["labels"][i] == keep])
+        assert test and len(doc["splits"]["test"]) != len(test)
+        with open(gpath, "w") as fh:
+            json.dump(doc, fh)
+        cfg = write_cfg(tmp_path / "t.cfg", [f"graph = {gpath}"] + SMALL_TRAIN)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["history.csv", "model.ckpt"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("skipped eval_metrics.json, eval_roc.csv and eval_pr.csv: "
+                             f"the test split {why}")
+        assert lines[-2] == f"skipped metrics.json, roc.csv and pr.csv: the test split {why}"
+
 
 class TestCliErrors:
     def check_error(self, capsys, argv, needle):
