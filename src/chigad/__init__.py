@@ -1,9 +1,8 @@
 """Chi-Square graph wavelets and heterogeneous graph anomaly detection."""
 
 from .chifilter import (admissibility_closed_form, admissibility_integral,
-                        apply_filter, chi_mode, chi_moments, chi_response,
-                        fit_grid_polynomial, fit_polynomial,
-                        normalization_constant, PolyFilter)
+                        chi_mode, chi_moments, chi_response, fit_grid_polynomial,
+                        fit_polynomial, normalization_constant, PolyFilter)
 from .config import RunConfig, SyntheticSpec, load_config, parse_config, sub_seed
 from .hin import (HeteroGraph, MetaPath, MetaPathGraph, Relation,
                   degenerate_method1, degenerate_method2, enumerate_meta_paths,

@@ -15,11 +15,10 @@ raises.  activation keeps only its output and reads the local derivative off
 it, so no mask is stored.
 
 No op writes into a gradient array, so a node keeps the first gradient it is
-handed by reference and sums later ones out of place; add hands its second
-parent a copy, so the two never share one array.  clenshaw allocates nothing
-per degree: three buffers of the input's size, and scipy's CSR kernel adds
-each sparse product straight into one of them, so its operator is a float64
-CSR matrix.  It runs over all rows in the calling thread.
+handed by reference and sums later ones out of place.  clenshaw allocates
+nothing per degree: three buffers of the input's size, and scipy's CSR kernel
+adds each sparse product straight into one of them, so its operator is a
+float64 CSR matrix.  It runs over all rows in the calling thread.
 """
 
 from __future__ import annotations
@@ -85,13 +84,6 @@ class Node:
         # kept by reference: no op writes into a gradient array
         self.grad = g if self.grad is None else self.grad + g
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Node({self.op}, shape={self.value.shape})"
-
 
 def _tape_of(*nodes) -> Tape:
     tapes = {n.tape for n in nodes}
@@ -112,18 +104,6 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(tape, a.value @ b.value, "matmul", backward)
 
 
-def add(a: Node, b: Node) -> Node:
-    tape = _tape_of(a, b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"add shape mismatch {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a.accumulate(g)
-        b.accumulate(g.copy())
-
-    return Node(tape, a.value + b.value, "add", backward)
-
-
 def add_bias(x: Node, bias: Node) -> Node:
     """Add a length-d bias row to every row of an n x d matrix."""
     tape = _tape_of(x, bias)
@@ -135,31 +115,6 @@ def add_bias(x: Node, bias: Node) -> Node:
         bias.accumulate(g.sum(axis=0))
 
     return Node(tape, x.value + bias.value[None, :], "add_bias", backward)
-
-
-def scale(a: Node, s: Node) -> Node:
-    """Multiply a matrix by a scalar node."""
-    tape = _tape_of(a, s)
-    if s.value.ndim != 0:
-        raise ValueError("scale factor must be a scalar node")
-
-    def backward(g):
-        a.accumulate(g * s.value)
-        s.accumulate(np.asarray((g * a.value).sum()))
-
-    return Node(tape, a.value * s.value, "scale", backward)
-
-
-def elementwise_mul(a: Node, b: Node) -> Node:
-    tape = _tape_of(a, b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"elementwise_mul shape mismatch {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a.accumulate(g * b.value)
-        b.accumulate(g * a.value)
-
-    return Node(tape, a.value * b.value, "elementwise_mul", backward)
 
 
 ACTIVATIONS = ("relu", "tanh", "leaky_relu")
@@ -326,8 +281,3 @@ def vstack(blocks: list[Node]) -> Node:
             b.accumulate(g[lo:hi])
 
     return Node(tape, np.vstack([b.value for b in blocks]), "vstack", backward)
-
-
-def node_sum(x: Node) -> Node:
-    return Node(x.tape, np.asarray(x.value.sum()), "sum",
-                lambda g: x.accumulate(np.full_like(x.value, float(g))))

@@ -26,8 +26,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 
-from .autodiff import monomial_powers, weighted_sum
-
 FREQ_MAX = 2.0
 
 # largest share of e^(-x) folded into the terms of the incomplete gamma sum at
@@ -163,8 +161,8 @@ class PolyFilter:
     """Polynomial approximation of a frequency response on [0, 2], given by its
     Chebyshev series in T_k(w - 1).  `coeffs`, the ascending monomial
     coefficients in w, is converted from the series on first read and kept;
-    the conversion loses all accuracy at high degree, so a call evaluates the
-    series, and a filter only ever applied as a series never converts."""
+    the conversion loses all accuracy at high degree, so a filter only ever
+    applied as a series never converts."""
     cheb: np.ndarray
     fit_error_linf: float
 
@@ -182,9 +180,6 @@ class PolyFilter:
     @property
     def degree(self) -> int:
         return len(self.cheb) - 1
-
-    def __call__(self, w):
-        return ncheb.chebval(np.asarray(w, dtype=np.float64) - 1.0, self.cheb)
 
 
 def fit_grid_polynomial(w: np.ndarray, y: np.ndarray, degree: int) -> PolyFilter:
@@ -207,21 +202,3 @@ def fit_polynomial(i: int, d: int = 3) -> PolyFilter:
         raise ValueError("degree budget d must be >= 1")
     w = np.linspace(0.0, FREQ_MAX, max(1024, 4 * (i + d)))
     return fit_grid_polynomial(w, chi_response(i, w), i - 1 + d)
-
-
-def apply_filter(coeffs, S, X: np.ndarray) -> np.ndarray:
-    """Y = sum_k c_k S^k X by iterated sparse applications; no matrix powers."""
-    if isinstance(coeffs, PolyFilter):
-        coeffs = coeffs.coeffs
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[:, None]
-    if S.shape[0] != S.shape[1]:
-        raise ValueError("shift operator must be square")
-    if X.shape[0] != S.shape[0]:
-        raise ValueError(
-            f"signal rows {X.shape[0]} do not match operator dimension {S.shape[0]}")
-    acc = weighted_sum(coeffs, np.ones(len(coeffs)), monomial_powers(S, X, len(coeffs)))
-    return acc.ravel() if squeeze else acc

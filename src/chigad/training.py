@@ -91,6 +91,10 @@ def cc_weights(contrib: ContributionVector, labels: np.ndarray,
     return weights
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Full-batch Adam on a named parameter dict, updated in place.
 
@@ -109,11 +113,9 @@ class Adam:
     leaves alias these arrays, so a pass runs its backward before the step."""
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -123,7 +125,7 @@ class Adam:
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         decay = 1 - self.lr * self.weight_decay
         for name, p in self.params.items():
@@ -140,7 +142,7 @@ class Adam:
             v += np.multiply(s2, g, out=s2)
             np.divide(v, c2, out=s2)
             np.sqrt(s2, out=s2)
-            np.add(s2, self.eps, out=s2)
+            np.add(s2, ADAM_EPS, out=s2)
             np.divide(m, c1, out=s1)
             np.multiply(s1, self.lr, out=s1)
             p -= np.divide(s1, s2, out=s1)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chigad.autodiff import Node
 from chigad.config import RunConfig
 from chigad.hin import hetero_graph_from_dict
 
@@ -18,6 +19,14 @@ def _load_demo(name: str):
 
 # the ablation baseline's filter swap, written once in the demo that shows it
 lowpass_ablation = _load_demo("train_eval").lowpass_ablation
+
+
+def inner(node, G=1.0):
+    """sum(G * node) as a scalar tape node, the probe a backward test ends in:
+    with G = 1 it is a plain sum.  Its backward hands node g * G."""
+    G = np.broadcast_to(np.asarray(G, dtype=np.float64), node.value.shape)
+    return Node(node.tape, np.asarray((G * node.value).sum()), "inner",
+                lambda g: node.accumulate(float(g) * G))
 
 
 def make_hin(rng, sizes=(6, 3, 3), dims=(4, 3, 2), extra_relation=False,

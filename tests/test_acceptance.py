@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 import chigad.autodiff as ad
 from chigad.chifilter import (PolyFilter, admissibility_closed_form, admissibility_integral,
-                              apply_filter, chi_mode, chi_moments, fit_polynomial)
+                              chi_mode, chi_moments, fit_polynomial)
 from chigad.cli import main
 from chigad.config import RunConfig, load_config, sub_seed
 from chigad.hin import (enumerate_meta_paths, hetero_graph_from_dict, laplacian,
@@ -33,7 +33,7 @@ from chigad.model import (BankEntry, MetaGraphConvLayer, MultiGraphFilterBank, b
 from chigad.synthetic import generate_synthetic_hin
 from chigad.training import CcLossConfig, cc_weights, node_contributions, train, evaluate
 
-from conftest import lowpass_ablation, make_hin
+from conftest import inner, lowpass_ablation, make_hin
 from oracles import (auroc_all_pairs, dense_poly_apply, dfs_meta_paths,
                      fd_gradient, grad_mismatch, walk_pairs)
 
@@ -155,31 +155,17 @@ def test_c4_gradients(capsys):
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             A, B = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-            checked |= _fd_check(lambda t, n: ad.node_sum(ad.matmul(n[0], n[1])), [A, B],
-                                 OP_TOL)
+            checked |= _fd_check(lambda t, n: inner(ad.matmul(n[0], n[1])), [A, B], OP_TOL)
             count += 1
 
-            X, Y, b = (rng.standard_normal((4, 3)), rng.standard_normal((4, 3)),
-                       rng.standard_normal(3))
-            checked |= _fd_check(
-                lambda t, n: ad.node_sum(ad.add_bias(ad.add(n[0], n[1]), n[2])),
-                [X, Y, b], OP_TOL)
-            count += 1
-
-            M, s = rng.standard_normal((3, 3)), np.asarray(rng.normal(1.0, 0.3))
-            checked |= _fd_check(lambda t, n: ad.node_sum(ad.scale(n[0], n[1])), [M, s],
-                                 OP_TOL)
-            count += 1
-
-            U, V = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
-            checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(n[0], n[1])),
-                                 [U, V], OP_TOL)
+            X, b = rng.standard_normal((4, 3)), rng.standard_normal(3)
+            checked |= _fd_check(lambda t, n: inner(ad.add_bias(n[0], n[1])), [X, b], OP_TOL)
             count += 1
 
             Z = _away_from_kinks(rng.standard_normal((5, 3)))
             for kind in ad.ACTIVATIONS:
                 checked |= _fd_check(
-                    lambda t, n, k=kind: ad.node_sum(ad.activation(n[0], k)), [Z.copy()],
+                    lambda t, n, k=kind: inner(ad.activation(n[0], k)), [Z.copy()],
                     OP_TOL)
             count += 1
 
@@ -188,7 +174,7 @@ def test_c4_gradients(capsys):
             S = sp.csr_matrix((dense + dense.T) / 4)
             coeffs = rng.standard_normal(4)
             F, w = rng.standard_normal((n_nodes, 2)), np.asarray(rng.normal(1.0, 0.2))
-            checked |= _fd_check(lambda t, n: ad.node_sum(
+            checked |= _fd_check(lambda t, n: inner(
                 ad.sparse_poly_apply(coeffs, S, n[0], meta_weight=n[1])), [F, w], OP_TOL)
             count += 1
 
@@ -199,8 +185,8 @@ def test_c4_gradients(capsys):
                 for j, k in enumerate((4, 3))])
             G = rng.standard_normal(F.shape)
             ws = [np.asarray(v) for v in rng.normal(1.0, 0.2, size=2)]
-            checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(
-                multi_graph_forward(bank, {"w0": n[0], "w1": n[1]}), t.leaf(G))), ws, OP_TOL)
+            checked |= _fd_check(lambda t, n: inner(
+                multi_graph_forward(bank, {"w0": n[0], "w1": n[1]}), G), ws, OP_TOL)
             count += 1
 
             # the conv node on both paths, rows 1:4 of 6, so a transposed
@@ -212,14 +198,13 @@ def test_c4_gradients(capsys):
                 conv = MetaGraphConvLayer(adj, filters, (1, 4), width)
                 assert (conv.block is None) == (width == 2)
                 H, G = rng.standard_normal((n_nodes, width)), rng.standard_normal((3, width))
-                checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(
-                    conv.apply(n[0]), t.leaf(G))), [H], OP_TOL)
+                checked |= _fd_check(lambda t, n: inner(conv.apply(n[0]), G), [H], OP_TOL)
             count += 1
 
             P, Q, G = (rng.standard_normal((3, 2)), rng.standard_normal((2, 2)),
                        rng.standard_normal((5, 2)))
-            checked |= _fd_check(lambda t, n: ad.node_sum(ad.elementwise_mul(
-                ad.vstack([n[0], n[1]]), t.leaf(G))), [P, Q], OP_TOL)
+            checked |= _fd_check(lambda t, n: inner(ad.vstack([n[0], n[1]]), G), [P, Q],
+                                 OP_TOL)
             count += 1
 
             logits = rng.standard_normal((6, 2))
@@ -262,7 +247,7 @@ def test_c4_gradients(capsys):
                 assert grad_mismatch(analytic, numeric) < MODEL_TOL, \
                     f"seed {seed} param {name}"
             count += 1
-        assert count == 60
+        assert count == 50
 
         # every op a recording forward pass puts on its tape has a case above,
         # on each conv path (target rows 6 > aligned_dim 5: the recurrence)
@@ -434,15 +419,18 @@ def test_c8_spatial_locality(capsys):
         adj = sp.csr_matrix((np.ones(n - 1), (rows, rows + 1)), shape=(n, n))
         adj = ((adj + adj.T) > 0).astype(np.float64)
         S = laplacian(adj)
+        M = 2.0 * (S - sp.eye(n, format="csr"))      # the conv's operator
         hops = np.abs(np.arange(n) - src)
         delta = np.zeros((n, 1))
         delta[src, 0] = 1.0
         for i, d in ((1, 3), (2, 3), (4, 2)):
             filt = fit_polynomial(i, d)
             assert filt.degree == i - 1 + d
-            out = apply_filter(filt.coeffs, S, delta)[:, 0]
-            assert np.all(out[hops > filt.degree] == 0.0), f"i={i} d={d}"
-            assert out[src] != 0.0
+            # the monomial form, and the series the conv applies
+            monomial = ad.sparse_poly_apply(filt.coeffs, S, ad.Tape(record=False).leaf(delta))
+            for out in (monomial.value[:, 0], ad.clenshaw(filt.cheb, M, delta)[:, 0]):
+                assert np.all(out[hops > filt.degree] == 0.0), f"i={i} d={d}"
+                assert out[src] != 0.0
 
 
 def test_c9_determinism(tmp_path, capsys):

@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add,
-                             add_bias, clenshaw, elementwise_mul, matmul,
-                             monomial_powers, node_sum, scale, sparse_poly_apply,
+from chigad.autodiff import (ACTIVATIONS, LEAKY_SLOPE, Tape, activation, add_bias,
+                             clenshaw, matmul, monomial_powers, sparse_poly_apply,
                              vstack, weighted_softmax_ce)
 from chigad.chifilter import PolyFilter
 from chigad.model import (BankEntry, MetaGraphConvLayer, MultiGraphFilterBank,
                           multi_graph_forward)
+from conftest import inner
 from oracles import (activation_grad_with_mask, dense_poly_apply, fd_gradient,
                      grad_mismatch)
 
@@ -58,11 +58,6 @@ class TestValues:
         out = matmul(t.leaf(np.eye(3)), b)
         assert np.array_equal(out.value, b.value)
 
-    def test_scale_by_zero(self):
-        t = Tape()
-        out = scale(t.leaf(np.ones((2, 2))), t.leaf(0.0))
-        assert np.all(out.value == 0.0)
-
     def test_activation_values(self):
         t = Tape()
         v = np.array([[-2.0, 0.0, 3.0]])
@@ -74,7 +69,7 @@ class TestValues:
     def test_relu_subgradient_zero_at_kink(self):
         t = Tape()
         x = t.leaf(np.array([[0.0, 1.0, -1.0]]))
-        loss = node_sum(activation(x, "relu"))
+        loss = inner(activation(x, "relu"))
         t.backward(loss)
         assert x.grad.tolist() == [[0.0, 1.0, 0.0]]
 
@@ -113,7 +108,7 @@ class TestValues:
         got = multi_graph_forward(bank, ws)
         spa = [sparse_poly_apply(e.poly.coeffs, S, t.leaf(X), ws[e.weight_name])
                for e in bank.entries]
-        assert np.array_equal(got.value, add(*spa).value)
+        assert np.array_equal(got.value, spa[0].value + spa[1].value)
         assert [n.op for n in t.nodes].count("filter_bank") == 1
         # a longer basis is read up to the coefficients' length; a shorter one
         # is refused
@@ -185,29 +180,26 @@ class TestGradients:
     def test_matmul_chain(self):
         rng = np.random.default_rng(0)
         A, B = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-        self.check(lambda t, n: node_sum(matmul(n[0], n[1])), [A, B])
+        self.check(lambda t, n: inner(matmul(n[0], n[1])), [A, B])
 
     def test_add_and_bias(self):
+        # the bias add, used twice, so both parents sum a fan-out
         rng = np.random.default_rng(1)
-        X, Y, b = rng.standard_normal((3, 2)), rng.standard_normal((3, 2)), rng.standard_normal(2)
-        self.check(lambda t, n: node_sum(add(n[0], n[1])), [X, Y])
-        self.check(lambda t, n: node_sum(elementwise_mul(add_bias(n[0], n[2]), n[1])),
-                   [X, Y, b])
+        X, b, G = rng.standard_normal((3, 2)), rng.standard_normal(2), rng.standard_normal((6, 2))
 
-    def test_scale(self):
-        rng = np.random.default_rng(2)
-        X, s = rng.standard_normal((2, 3)), np.asarray(1.3)
-        self.check(lambda t, n: node_sum(elementwise_mul(scale(n[0], n[1]),
-                                                         scale(n[0], n[1]))),
-                   [X, s])
+        def build(t, n):
+            y = add_bias(n[0], n[1])
+            return inner(vstack([y, y]), G)
+
+        self.check(build, [X, b])
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_activations(self, kind):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((4, 3)) + 0.05  # stay off the relu kink
-        self.check(lambda t, n: node_sum(elementwise_mul(activation(n[0], kind),
-                                                         activation(n[0], kind))),
-                   [X])
+        G = rng.standard_normal((8, 3))
+        self.check(lambda t, n: inner(vstack([activation(n[0], kind),
+                                              activation(n[0], kind)]), G), [X])
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_activation_grad_read_off_output(self, kind):
@@ -223,7 +215,7 @@ class TestGradients:
         y = activation(x, kind)
         kept = [c.cell_contents for c in y.backward_fn.__closure__]
         assert [a for a in kept if isinstance(a, np.ndarray)] == [y.value]
-        t.backward(node_sum(elementwise_mul(y, t.leaf(G))))
+        t.backward(inner(y, G))
         want = activation_grad_with_mask(v, G, kind, LEAKY_SLOPE)
         assert x.grad.tobytes() == want.tobytes()
 
@@ -232,11 +224,12 @@ class TestGradients:
         X = rng.standard_normal((5, 2))
         w = np.asarray(0.7)
         coeffs = np.array([0.5, -1.0, 0.25])
+        G = rng.standard_normal((10, 2))
         # the x gradient applies S^T, which a directed operator tells apart
         for S in (ring_operator(5), directed_operator(5)):
             def build(t, n):
                 y = sparse_poly_apply(coeffs, S, n[0], n[1])
-                return node_sum(elementwise_mul(y, y))
+                return inner(vstack([y, y]), G)
 
             self.check(build, [X, w])
 
@@ -246,10 +239,10 @@ class TestGradients:
         S = directed_operator(6, seed=1)
         X = rng.standard_normal((6, 2))
         bank = bank_of(S, X, [np.array([0.5, -1.0, 0.25, 0.8]), np.array([0.3, 0.9])])
+        G = rng.standard_normal((6, 2))
 
         def build(t, n):
-            y = multi_graph_forward(bank, {"w0": n[0], "w1": n[1]})
-            return node_sum(elementwise_mul(y, y))
+            return inner(multi_graph_forward(bank, {"w0": n[0], "w1": n[1]}), G)
 
         self.check(build, [np.asarray(0.7), np.asarray(1.2)])
 
@@ -265,26 +258,29 @@ class TestGradients:
         # vstack, then the conv node's rows 1:4 on each of its paths
         rng = np.random.default_rng(7)
         A, B = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
+        G = rng.standard_normal((3, 3))
         for width in (2, 3):
             conv = conv_of(5, (1, 4), width)
             assert (conv.block is None) == (width == 2)
 
             def build(t, n):
-                y = conv.apply(vstack([n[0], n[1]]))
-                return node_sum(elementwise_mul(y, y))
+                return inner(conv.apply(vstack([n[0], n[1]])), G)
 
             self.check(build, [A, B])
 
     def test_fanout_accumulates(self):
+        # x keeps its first gradient by reference, a view of the stack's, and
+        # sums the second out of place, not into that view
         t = Tape()
         x = t.leaf(np.array([[3.0]]))
-        loss = node_sum(add(x, x))
-        t.backward(loss)
-        assert x.grad.tolist() == [[2.0]]
+        stacked = vstack([x, x])
+        t.backward(inner(stacked, [[2.0], [5.0]]))
+        assert x.grad.tolist() == [[7.0]]
+        assert stacked.grad.tolist() == [[2.0], [5.0]]
 
         t2 = Tape()
         y = t2.leaf(np.array([[3.0]]))
-        t2.backward(node_sum(elementwise_mul(y, y)))
+        t2.backward(inner(matmul(y, y)))
         assert y.grad.tolist() == [[6.0]]
 
     def test_end_to_end_mlp(self):
@@ -309,7 +305,7 @@ class TestTapeDiscipline:
     def test_double_backward_rejected(self):
         t = Tape()
         x = t.leaf(np.ones((2, 2)))
-        loss = node_sum(x)
+        loss = inner(x)
         t.backward(loss)
         with pytest.raises(RuntimeError, match="fresh tape"):
             t.backward(loss)
@@ -319,7 +315,7 @@ class TestTapeDiscipline:
         x = t.leaf(np.ones((3, 2)))
         y = sparse_poly_apply([1.0, 0.5], ring_operator(3), x, t.leaf(0.9))
         unused = activation(x, "tanh")  # not on the loss path
-        loss = node_sum(elementwise_mul(y, y))
+        loss = inner(vstack([y, y]))
         assert unused.backward_fn is not None
         t.backward(loss)
         assert x.grad is not None
@@ -333,7 +329,7 @@ class TestTapeDiscipline:
         try:
             t = Tape()
             x = t.leaf(np.ones((3, 2)))
-            loss = node_sum(elementwise_mul(x, x))
+            loss = inner(vstack([x, x]))
             t.backward(loss)
             assert len(t.nodes) == 3          # the record itself stays intact
             assert all(node.tape is None for node in t.nodes)
@@ -342,7 +338,7 @@ class TestTapeDiscipline:
             assert ref() is None
             assert np.array_equal(x.grad, 2 * np.ones((3, 2)))
             with pytest.raises(ValueError, match="finished tape"):
-                add(x, x)
+                vstack([x, x])
         finally:
             gc.enable()
 
@@ -352,7 +348,7 @@ class TestTapeDiscipline:
         gc.disable()
         try:
             t = Tape()
-            y = elementwise_mul(t.leaf(np.ones((3, 2))), t.leaf(np.ones((3, 2))))
+            y = vstack([t.leaf(np.ones((3, 2))), t.leaf(np.ones((3, 2)))])
             ref = weakref.ref(t)
             del t, y
             assert ref() is not None
@@ -366,7 +362,7 @@ class TestTapeDiscipline:
             x = t.leaf(np.ones((3, 2)))
             w = t.leaf(0.9)
             y = activation(sparse_poly_apply([1.0, 0.5], ring_operator(3), x, w), "relu")
-            return x, y, node_sum(elementwise_mul(y, y))
+            return x, y, inner(vstack([y, y]))
 
         t = Tape(record=False)
         x, y, loss = build(t)
@@ -382,26 +378,22 @@ class TestTapeDiscipline:
         t = Tape()
         x = t.leaf(np.ones((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
-            t.backward(add(x, x))
+            t.backward(vstack([x, x]))
 
     def test_cross_tape_rejected(self):
         t1, t2 = Tape(), Tape()
         a, b = t1.leaf(np.ones((2, 2))), t2.leaf(np.ones((2, 2)))
         with pytest.raises(ValueError, match="different tapes"):
-            add(a, b)
+            vstack([a, b])
         with pytest.raises(ValueError, match="different tape"):
-            t1.backward(node_sum(b))
+            t1.backward(inner(b))
 
     def test_shape_errors(self):
         t = Tape()
         with pytest.raises(ValueError, match="matmul"):
             matmul(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))))
-        with pytest.raises(ValueError, match="add shape"):
-            add(t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2))))
         with pytest.raises(ValueError, match="bias"):
             add_bias(t.leaf(np.ones((2, 3))), t.leaf(np.ones(2)))
-        with pytest.raises(ValueError, match="scalar"):
-            scale(t.leaf(np.ones(2)), t.leaf(np.ones(2)))
         with pytest.raises(ValueError, match="unknown activation"):
             activation(t.leaf(np.ones(2)), "gelu")
         with pytest.raises(ValueError, match="n x 2"):
@@ -549,13 +541,3 @@ class TestInPlaceKernels:
                 assert np.max(np.abs(y.value - want_y)) <= 1e-12 * np.max(np.abs(want_y))
                 assert np.max(np.abs(leaf.grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
             assert not np.shares_memory(y.value, x) and not np.shares_memory(leaf.grad, g)
-
-    def test_add_parents_get_separate_gradients(self):
-        t = Tape()
-        a, b = t.leaf(np.ones((3, 2))), t.leaf(np.ones((3, 2)))
-        t.backward(node_sum(add(a, b)))
-        assert a.grad is not b.grad
-        assert not np.shares_memory(a.grad, b.grad)
-        a.grad += 1.0
-        assert b.grad.tolist() == [[1.0, 1.0]] * 3
-

@@ -585,10 +585,12 @@ class TestCliImport:
             "assert tp.profiles\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
             "from chigad.model import build_model, forward_pass\n"
-            "from chigad.autodiff import node_sum\n"
+            "from chigad.autodiff import weighted_softmax_ce\n"
             "model = build_model(g, RunConfig(candidates=(1, 3), bands=3, aligned_dim=4))\n"
             "fp = forward_pass(model)\n"
-            "fp.tape.backward(node_sum(fp.logits))\n"
+            "ones = [1.0] * len(g.labels)\n"
+            "fp.tape.backward(weighted_softmax_ce(fp.logits, g.labels, ones, "
+            "g.split_masks['train']))\n"
             "assert fp.param_nodes['mlp.0.W'].grad is not None\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
         assert run_python(code).stdout.split() == ["[]", "[]", "[]"]

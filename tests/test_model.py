@@ -25,7 +25,7 @@ from chigad.model import (CHECKPOINT_V1_MAGIC, CHECKPOINT_V2_MAGIC,
 from chigad.spectral import DEGENERATE_DIVISION, DIVISIONS, fuse_filters
 from chigad.synthetic import SyntheticSpec, generate_synthetic_hin
 from chigad.training import train
-from conftest import lowpass_ablation, make_hin, make_one_type_hin
+from conftest import inner, lowpass_ablation, make_hin, make_one_type_hin
 from oracles import dense_poly_apply
 from test_acceptance import BENCH_SPEC, bench_config
 
@@ -257,9 +257,9 @@ class TestForward:
         x = tape.leaf(X)
         direct = None
         for e, S in zip(bank.entries, ops):
-            term = ad.sparse_poly_apply(e.poly.coeffs, S, x, wnodes[e.weight_name])
-            direct = term if direct is None else ad.add(direct, term)
-        assert np.array_equal(out.value, direct.value)
+            term = ad.sparse_poly_apply(e.poly.coeffs, S, x, wnodes[e.weight_name]).value
+            direct = term if direct is None else direct + term
+        assert np.array_equal(out.value, direct)
 
     def test_zero_features_collapse_rows(self):
         # with all-zero inputs only the MLP biases drive the logits, so every
@@ -388,7 +388,7 @@ class TestTapeLifetime:
         want = grads(kept.tape, kept.logits)
         tape = forward_pass(model).tape
         logits = tape.nodes[-1]      # the head's last layer is the last op
-        assert logits.shape == kept.logits.shape
+        assert logits.value.shape == kept.logits.value.shape
         got = grads(tape, logits)
         assert got.keys() == want.keys() and len(got) > 0
         for name in want:
@@ -810,15 +810,15 @@ class TestDenseTargetBlock:
         conv = model.conv
         assert conv.block is not None
         fp = forward_pass(model)
-        G = np.random.default_rng(11).standard_normal(fp.rep.shape)
-        fp.tape.backward(ad.node_sum(ad.elementwise_mul(fp.rep, fp.tape.leaf(G))))
+        G = np.random.default_rng(11).standard_normal(fp.rep.value.shape)
+        fp.tape.backward(inner(fp.rep, G))
 
         recurrence = copy.copy(conv)
         recurrence.block = None
         tape = ad.Tape()
         x = tape.leaf(fp.conv_input.value)
         rep = recurrence.apply(x)
-        tape.backward(ad.node_sum(ad.elementwise_mul(rep, tape.leaf(G))))
+        tape.backward(inner(rep, G))
         for got, want in ((fp.rep.value, rep.value), (fp.conv_input.grad, x.grad)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -872,7 +872,7 @@ class TestForwardOnlyPass:
         kept = [bare.rep, bare.logits, bare.conv_input, *bare.param_nodes.values()]
         assert all(n.backward_fn is None for n in kept)
         with pytest.raises(RuntimeError, match="records nothing"):
-            bare.tape.backward(ad.node_sum(bare.logits))
+            bare.tape.backward(inner(bare.logits))
         assert all(n.grad is None for n in kept)
 
     def test_conv_filters_never_convert_to_monomials(self, defaults_graph):
